@@ -14,26 +14,26 @@ from .analytics import (EmpiricalCDF, GramStats, Histogram2D, UserCorrelationMat
                         coefficient_histogram, eigenvalues_hermitian, empirical_cdf,
                         gram, offdiag_exceedance, power_profile, user_correlation)
 from .assembly import (ChannelBlock, UplinkFrame, assemble_channel, qpsk_symbols,
-                       stack_qgrids, synthesize_uplink)
+                       synthesize_uplink)
 from .errors import ConfigError, NumericalError
 from .model import (RANDOM_DIRECTION, ArrayGeometry, ClusterSpec, ResourceGrid,
                     SpatialPair, UserSpec, build_spatial_pair, draw_direction,
                     phase_ramp, spread_to_std)
 from .scenario import (ReportBundle, ScenarioConfig, expand_preset, parse_config,
                        run_scenario)
-from .stochastic import (CorrelationSpec, QGrid, build_covariance, cholesky_psd,
-                         complex_normal, sample_q_block, sample_q_grid, substream)
+from .stochastic import (CorrelationSpec, build_covariance, cholesky_psd,
+                         complex_normal, sample_q_block, substream)
 
 __all__ = [
     "ArrayGeometry", "ChannelBlock", "ClusterSpec", "ConfigError", "CorrelationSpec",
-    "EmpiricalCDF", "GramStats", "Histogram2D", "NumericalError", "QGrid",
+    "EmpiricalCDF", "GramStats", "Histogram2D", "NumericalError",
     "RANDOM_DIRECTION", "ReportBundle", "ResourceGrid", "ScenarioConfig",
     "SpatialPair", "UplinkFrame", "UserCorrelationMatrix", "UserSpec",
     "assemble_channel", "build_covariance", "build_spatial_pair",
     "cholesky_psd", "coefficient_histogram", "complex_normal", "draw_direction",
     "eigenvalues_hermitian", "empirical_cdf", "expand_preset", "gram",
     "offdiag_exceedance", "parse_config", "phase_ramp", "power_profile",
-    "qpsk_symbols", "run_scenario", "sample_q_block", "sample_q_grid",
-    "spread_to_std", "stack_qgrids", "substream", "synthesize_uplink",
+    "qpsk_symbols", "run_scenario", "sample_q_block",
+    "spread_to_std", "substream", "synthesize_uplink",
     "user_correlation",
 ]

@@ -2,9 +2,11 @@
 eigenvalues, empirical CDFs, complex-plane coefficient histograms, and
 per-antenna average power profiles.
 
-All reductions over realization streams are associative and
-order-insensitive, so chunked or parallel accumulation matches sequential
-accumulation to rounding.
+The per-matrix statistics accept one N x K channel matrix or a stack
+(..., N, K) of them, such as the (t_max, f_max, N, K) tensor of one
+realization, and work on the whole stack at once.  Means over realizations
+or resource blocks accumulate in a fixed order (:func:`ordered_mean`), so
+threaded runs reduce bit for bit like sequential ones.
 """
 
 from __future__ import annotations
@@ -17,23 +19,17 @@ import numpy as np
 from .assembly import ChannelBlock
 from .errors import NumericalError
 
-JACOBI_MAX_SWEEPS = 100
-JACOBI_OFF_TOLERANCE = 1e-12
 HERMITIAN_INPUT_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
 class GramStats:
     """Gram matrix G = (1/N) H^H H with its partition into diagonal and
-    off-diagonal magnitudes."""
+    off-diagonal magnitudes; every field carries the stack axes of H."""
 
     g: np.ndarray
     offdiag_mags: np.ndarray
     diag: np.ndarray
-
-    @property
-    def n_users(self) -> int:
-        return self.g.shape[0]
 
 
 @dataclass(frozen=True)
@@ -92,81 +88,52 @@ class UserCorrelationMatrix:
         return float(off.mean())
 
 
-def _as_matrix(h) -> np.ndarray:
+def _as_stack(h) -> np.ndarray:
+    """Complex array of a matrix, a stack, a ChannelBlock or a sequence of them."""
     if isinstance(h, ChannelBlock):
         return h.h
+    if isinstance(h, (list, tuple)):
+        return np.stack([_as_stack(b) for b in h])
     return np.asarray(h, dtype=complex)
 
 
 def gram(h) -> GramStats:
-    """Gram statistics G = (1/N) H^H H of one channel matrix.
+    """Gram statistics G = (1/N) H^H H of a channel matrix or stack.
 
     The product is symmetrized to make the stored matrix exactly Hermitian;
     the off-diagonal magnitudes are taken from the upper triangle.
     """
-    matrix = _as_matrix(h)
-    n = matrix.shape[0]
-    g = matrix.conj().T @ matrix / n
-    g = 0.5 * (g + g.conj().T)
-    k = g.shape[0]
-    iu = np.triu_indices(k, 1)
-    return GramStats(g=g, offdiag_mags=np.abs(g[iu]), diag=g.diagonal().real.copy())
+    matrix = _as_stack(h)
+    g = np.conj(matrix).swapaxes(-1, -2) @ matrix / matrix.shape[-2]
+    g = 0.5 * (g + np.conj(g).swapaxes(-1, -2))
+    iu = np.triu_indices(g.shape[-1], 1)
+    return GramStats(g=g, offdiag_mags=np.abs(g[..., iu[0], iu[1]]),
+                     diag=g.diagonal(axis1=-2, axis2=-1).real.copy())
 
 
-def eigenvalues_hermitian(g: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix by cyclic Jacobi rotations, ascending.
+def eigenvalues_hermitian(g) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix or stack (..., K, K), ascending.
 
-    Sweeps rotate every superdiagonal entry until the off-diagonal Frobenius
-    norm falls below 1e-12 times the Frobenius norm of the input.  Raises
-    NumericalError if the input is not Hermitian to 1e-10, if the sweep
-    budget is exhausted, or if the eigenvalue sum drifts from the trace by
-    more than 1e-10 relative.
+    One batched LAPACK call (``numpy.linalg.eigvalsh``).  Raises
+    NumericalError if a matrix is not finite and Hermitian to 1e-10 of its
+    largest entry (at least 1), if LAPACK fails, or if the eigenvalue sum of
+    a matrix drifts from its trace by more than 1e-10 relative.
     """
-    a = np.array(g, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = np.asarray(g, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("matrix must be square")
-    n = a.shape[0]
-    scale = max(1.0, np.abs(a).max(initial=0.0))
-    if np.abs(a - a.conj().T).max(initial=0.0) > HERMITIAN_INPUT_TOLERANCE * scale:
-        raise NumericalError("matrix is not Hermitian within 1e-10")
-    a = 0.5 * (a + a.conj().T)
-    trace = a.diagonal().real.sum()
-    if n == 1:
-        return np.array([a[0, 0].real])
-    norm = np.linalg.norm(a)
-    tol = JACOBI_OFF_TOLERANCE * norm
-    converged = False
-    for _ in range(max_sweeps):
-        off = np.linalg.norm(a - np.diag(a.diagonal()))
-        if off <= tol:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                mag = abs(apq)
-                if mag == 0.0:
-                    continue
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                w = (t * c) * (apq / mag)
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - np.conj(w) * cq
-                a[:, q] = w * cp + c * cq
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - w * rq
-                a[q, :] = np.conj(w) * rp + c * rq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-    else:
-        converged = np.linalg.norm(a - np.diag(a.diagonal())) <= tol
-    if not converged:
-        raise NumericalError(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
-    eig = np.sort(a.diagonal().real)
-    if abs(eig.sum() - trace) > 1e-10 * max(1.0, abs(trace)):
+    a_h = np.conj(a).swapaxes(-1, -2)
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
+    asym = np.abs(a - a_h).max(axis=(-2, -1), initial=0.0)
+    if not (asym <= HERMITIAN_INPUT_TOLERANCE * scale).all():  # NaN fails too
+        raise NumericalError("matrix is not finite and Hermitian within 1e-10")
+    a = 0.5 * (a + a_h)
+    try:
+        eig = np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigenvalue solve failed: {exc}") from exc
+    trace = a.diagonal(axis1=-2, axis2=-1).real.sum(axis=-1)
+    if not (np.abs(eig.sum(axis=-1) - trace) <= 1e-10 * np.maximum(1.0, np.abs(trace))).all():
         raise NumericalError("eigenvalue sum drifted from the trace beyond 1e-10 relative")
     return eig
 
@@ -180,16 +147,34 @@ def empirical_cdf(samples) -> EmpiricalCDF:
     return EmpiricalCDF(values=values, probabilities=probs)
 
 
-def pairwise_correlation(block) -> np.ndarray:
-    """Normalized inner-product magnitudes |h_i^H h_j| / (|h_i| |h_j|) of one
-    realization; raises on a zero-norm (degenerate) user column."""
-    h = _as_matrix(block)
-    norms = np.linalg.norm(h, axis=0)
+def pairwise_correlation(h) -> np.ndarray:
+    """Normalized inner-product magnitudes |h_i^H h_j| / (|h_i| |h_j|) of a
+    channel matrix or stack, shape (..., K, K); raises on a zero-norm
+    (degenerate) user column."""
+    h = _as_stack(h)
+    norms = np.linalg.norm(h, axis=-2)
     if (norms == 0).any():
-        bad = int(np.flatnonzero(norms == 0)[0])
+        bad = int(np.argwhere(norms == 0)[0, -1])
         raise NumericalError(f"user {bad} has a zero-norm channel column")
-    g = np.abs(h.conj().T @ h)
-    return g / np.outer(norms, norms)
+    g = np.abs(np.conj(h).swapaxes(-1, -2) @ h)
+    return g / (norms[..., :, None] * norms[..., None, :])
+
+
+def ordered_mean(arrays) -> np.ndarray:
+    """Mean of equally shaped arrays (a sequence, or the leading axis of an
+    array), summed one after another in the given order so the result never
+    depends on how the arrays were produced."""
+    return sum(arrays) / len(arrays)
+
+
+def average_correlation(per_realization) -> UserCorrelationMatrix:
+    """User correlation matrix from per-realization K x K correlation
+    magnitudes: their ordered mean, symmetrized, with the diagonal forced to
+    exactly 1."""
+    acc = ordered_mean(per_realization)
+    acc = 0.5 * (acc + acc.T)
+    np.fill_diagonal(acc, 1.0)
+    return UserCorrelationMatrix(values=acc)
 
 
 def user_correlation(realizations: Sequence) -> UserCorrelationMatrix:
@@ -199,19 +184,12 @@ def user_correlation(realizations: Sequence) -> UserCorrelationMatrix:
     pair is computed; the average over realizations forms the matrix.  The
     diagonal is forced to exactly 1.
     """
-    realizations = list(realizations)
-    if not realizations:
+    if len(realizations) == 0:
         raise ValueError("user_correlation needs at least one realization")
-    k = _as_matrix(realizations[0]).shape[1]
-    if k < 2:
+    h = _as_stack(realizations)
+    if h.shape[-1] < 2:
         raise ValueError("user_correlation needs at least two users")
-    acc = np.zeros((k, k))
-    for block in realizations:
-        acc += pairwise_correlation(block)
-    acc /= len(realizations)
-    acc = 0.5 * (acc + acc.T)
-    np.fill_diagonal(acc, 1.0)
-    return UserCorrelationMatrix(values=acc)
+    return average_correlation(pairwise_correlation(h))
 
 
 def coefficient_histogram(values, bins_per_axis: int = 64) -> Histogram2D:
@@ -231,16 +209,15 @@ def coefficient_histogram(values, bins_per_axis: int = 64) -> Histogram2D:
                        counts=counts.astype(np.int64))
 
 
-def power_profile(realizations: Sequence) -> np.ndarray:
-    """Per-antenna, per-user average power: entry (i, j) is the sample mean
-    of |h_ij|^2 over the supplied realizations (and resource blocks)."""
-    realizations = list(realizations)
-    if not realizations:
+def power_profile(realizations) -> np.ndarray:
+    """Per-antenna, per-user average power: entry (i, j) is the ordered
+    sample mean of |h_ij|^2 over the supplied channel matrices, given as a
+    sequence or as a stack (..., N, K) such as the RB tensor of one
+    realization."""
+    if len(realizations) == 0:
         raise ValueError("power_profile needs at least one realization")
-    acc = np.zeros(_as_matrix(realizations[0]).shape)
-    for block in realizations:
-        acc += np.abs(_as_matrix(block)) ** 2
-    return acc / len(realizations)
+    h = _as_stack(realizations)
+    return ordered_mean((np.abs(h) ** 2).reshape((-1,) + h.shape[-2:]))
 
 
 def offdiag_exceedance(stats: Sequence[GramStats], threshold: float) -> float:

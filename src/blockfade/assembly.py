@@ -1,15 +1,15 @@
-"""Composition of spatial pairs and stochastic grids into per-RB channel
-matrices, plus uplink frame synthesis."""
+"""Composition of spatial pairs and stochastic grids into the channel
+tensor of one realization, plus uplink frame synthesis."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .model import SpatialPair
-from .stochastic import QGrid, complex_normal
+from .stochastic import complex_normal
 
 
 @dataclass(frozen=True)
@@ -17,7 +17,6 @@ class ChannelBlock:
     """N x K channel matrix of one resource block."""
 
     h: np.ndarray
-    rb: Optional[tuple] = None
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=complex)
@@ -26,10 +25,6 @@ class ChannelBlock:
         if not np.isfinite(h.view(float)).all():
             raise ValueError("channel matrix has non-finite entries")
         object.__setattr__(self, "h", h)
-
-    @property
-    def n_antennas(self) -> int:
-        return self.h.shape[0]
 
     @property
     def n_users(self) -> int:
@@ -65,55 +60,39 @@ class UplinkFrame:
         object.__setattr__(self, "x", x)
 
 
-def stack_qgrids(grids: Sequence[QGrid]) -> np.ndarray:
-    """Stack per-antenna QGrids of one (user, cluster) into an (N, t, f) array."""
-    return np.stack([g.values for g in grids])
-
-
-def _cluster_q(entry, n_antennas: int) -> np.ndarray:
-    if isinstance(entry, np.ndarray):
-        q = entry
-    else:
-        q = stack_qgrids(entry)
-    if q.ndim != 3 or q.shape[0] != n_antennas:
-        raise ValueError(f"cluster grid must have shape (N, t_max, f_max) with "
-                         f"N={n_antennas}, got {q.shape}")
-    return q
-
-
 def assemble_channel(pairs: Sequence[Sequence[SpatialPair]],
-                     qgrids: Sequence[Sequence],
-                     rb: tuple = (1, 1)) -> ChannelBlock:
-    """Channel matrix of one resource block.
+                     qgrids: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
+    """(t_max, f_max, N, K) channel tensor of every resource block.
 
-    Entrywise, ``h_ij = sum_c p_ijc + r_ijc * q_ijc(t, f)``: the deterministic
-    spatial means plus the spread-scaled stochastic values at RB index
-    ``rb = (t, f)`` (1-based).  No normalization is applied.
+    Entry ``[t - 1, f - 1, i, j]`` is ``h_ij(t, f) = sum_c p_ijc + r_ijc *
+    q_ijc(t, f)``: the deterministic spatial means plus the spread-scaled
+    stochastic values, clusters summed in their listed order.  No
+    normalization is applied.
 
     Args:
         pairs: pairs[j][c] is the SpatialPair of user j, cluster c.
-        qgrids: qgrids[j][c] is either an (N, t_max, f_max) complex array or
-            a length-N sequence of per-antenna :class:`QGrid` objects.
-        rb: 1-based (t, f) index of the resource block.
+        qgrids: qgrids[j][c] is the (N, t_max, f_max) complex grid of user j,
+            cluster c.
     """
     if len(pairs) != len(qgrids) or len(pairs) == 0:
         raise ValueError("pairs and qgrids must list the same non-empty set of users")
     n = len(pairs[0][0].p)
-    t, f = rb
-    columns = []
-    for user_pairs, user_grids in zip(pairs, qgrids):
+    grid_shape = np.shape(qgrids[0][0])[1:]
+    h = np.zeros(grid_shape + (n, len(pairs)), dtype=complex)
+    for j, (user_pairs, user_grids) in enumerate(zip(pairs, qgrids)):
         if len(user_pairs) != len(user_grids):
             raise ValueError("cluster count mismatch between pairs and qgrids")
-        col = np.zeros(n, dtype=complex)
-        for pair, grid_entry in zip(user_pairs, user_grids):
+        for pair, q in zip(user_pairs, user_grids):
             if len(pair.p) != n:
                 raise ValueError("all spatial pairs must share the antenna count")
-            q = _cluster_q(grid_entry, n)
-            if not (1 <= t <= q.shape[1] and 1 <= f <= q.shape[2]):
-                raise ValueError(f"rb index {rb} outside grid {q.shape[1:]}")
-            col += pair.p + pair.r * q[:, t - 1, f - 1]
-        columns.append(col)
-    return ChannelBlock(h=np.column_stack(columns), rb=(t, f))
+            if q.shape != (n,) + grid_shape:
+                raise ValueError(f"cluster grid must have shape (N, t_max, f_max) = "
+                                 f"{(n,) + grid_shape}, got {q.shape}")
+            # transpose, not np.moveaxis: its overhead shows on single-RB scenarios
+            h[..., j] += pair.p + pair.r * q.transpose(1, 2, 0)
+    if not np.isfinite(h.view(float)).all():
+        raise ValueError("channel tensor has non-finite entries")
+    return h
 
 
 def qpsk_symbols(n_users: int, n_symbols: int, rng: np.random.Generator) -> np.ndarray:

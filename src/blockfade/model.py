@@ -165,10 +165,6 @@ class ResourceGrid:
             if not (isinstance(v, (int, np.integer)) and v >= 1):
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
 
-    @property
-    def n_blocks(self) -> int:
-        return self.t_max * self.f_max
-
 
 def phase_ramp(theta: float, geometry: ArrayGeometry) -> np.ndarray:
     """Deterministic antenna phases of a cluster at direction theta.

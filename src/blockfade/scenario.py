@@ -54,9 +54,14 @@ PRESET_NAMES = ("iid", "nlos", "los", "paper-A", "paper-B", "paper-C", "paper-D"
                 "fig2", "fig3", "fig4", "fig5", "fig6")
 
 
+def _is_int(value) -> bool:
+    """True for integers; bools and integral floats are not integers here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Fully validated simulation scenario."""
+    """Fully validated simulation scenario; violations raise ConfigError."""
 
     seed: int
     geometry: ArrayGeometry
@@ -68,30 +73,38 @@ class ScenarioConfig:
     bins: int = DEFAULT_BINS
 
     def __post_init__(self):
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2 ** 64):
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        if not (_is_int(self.seed) and 0 <= self.seed < 2 ** 64):
+            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         users = tuple(self.users)
         object.__setattr__(self, "users", users)
         if len(users) < 1:
-            raise ValueError("at least one user required")
-        if not (isinstance(self.realizations, (int, np.integer)) and self.realizations >= 1):
-            raise ValueError(f"realizations must be a positive integer, got {self.realizations!r}")
+            raise ConfigError("at least one user required")
+        if not (_is_int(self.realizations) and self.realizations >= 1):
+            raise ConfigError(f"realizations must be a positive integer, "
+                              f"got {self.realizations!r}")
         seen = []
         for name in self.outputs:
             if name not in ARTIFACT_NAMES:
-                raise ValueError(f"unknown output {name!r}; valid outputs: {ARTIFACT_NAMES}")
+                raise ConfigError(f"unknown output {name!r}; valid outputs: {ARTIFACT_NAMES}")
             if name not in seen:
                 seen.append(name)
         object.__setattr__(self, "outputs", tuple(seen))
-        if self.bins < 1:
-            raise ValueError(f"bins must be >= 1, got {self.bins!r}")
+        if not (_is_int(self.bins) and self.bins >= 1):
+            raise ConfigError(f"bins must be a positive integer, got {self.bins!r}")
         if self.correlation.mode == "time" and self.correlation.length != self.grid.t_max:
-            raise ValueError("correlation.length must equal grid.t_max for mode 'time'")
+            raise ConfigError("correlation.length must equal grid.t_max for mode 'time'")
         if self.correlation.mode == "frequency" and self.correlation.length != self.grid.f_max:
-            raise ValueError("correlation.length must equal grid.f_max for mode 'frequency'")
+            raise ConfigError("correlation.length must equal grid.f_max for mode 'frequency'")
+        n = self.geometry.n_antennas
+        for j, user in enumerate(users):
+            for c, cluster in enumerate(user.clusters):
+                if np.size(cluster.mean_power) not in (1, n):
+                    raise ConfigError(f"users[{j}].clusters[{c}].mean_power: per-antenna "
+                                      f"power vector has length {np.size(cluster.mean_power)}, "
+                                      f"expected 1 or n_antennas = {n}")
         k = len(users)
         if k < 2 and any(o in self.outputs for o in ("correlation-matrix", "cross-correlation")):
-            raise ValueError("correlation outputs need at least two users")
+            raise ConfigError("correlation outputs need at least two users")
 
     @property
     def n_users(self) -> int:
@@ -128,6 +141,13 @@ def _require_keys(mapping: dict, allowed: dict, path: str) -> dict:
     return out
 
 
+def _int_field(mapping: dict, key: str, path: str, default=None):
+    value = mapping.get(key, default)
+    if not _is_int(value):
+        raise ConfigError(f"{path}.{key}: must be an integer, got {value!r}")
+    return value
+
+
 def _cluster_from_dict(d: dict, path: str) -> ClusterSpec:
     if not isinstance(d, dict):
         raise ConfigError(f"{path}: cluster must be an object")
@@ -157,7 +177,8 @@ def _correlation_from_dict(d: dict, path: str) -> CorrelationSpec:
         if model == "exponential":
             d = _require_keys(d, {"mode": True, "model": False, "rho": True,
                                   "length": True}, path)
-            return CorrelationSpec.exponential(mode, d["rho"], d["length"])
+            return CorrelationSpec.exponential(mode, d["rho"],
+                                               _int_field(d, "length", path))
         if model == "custom":
             d = _require_keys(d, {"mode": True, "model": True, "matrix": True}, path)
             spec = CorrelationSpec.custom(mode, np.asarray(d["matrix"], dtype=float))
@@ -186,8 +207,9 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
         raise ConfigError("config.geometry: must be an object")
     geo = _require_keys(geo, {"n_antennas": True, "spacing_ratio": False},
                         "config.geometry")
+    n_antennas = _int_field(geo, "n_antennas", "config.geometry")
     try:
-        geometry = ArrayGeometry(n_antennas=geo["n_antennas"],
+        geometry = ArrayGeometry(n_antennas=n_antennas,
                                  spacing_ratio=geo.get("spacing_ratio", 0.25))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"config.geometry: {exc}") from exc
@@ -212,10 +234,10 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
         raise ConfigError("config.grid: must be an object")
     grid_doc = _require_keys(grid_doc, {"t_max": False, "f_max": False,
                                         "symbols_per_rb": False}, "config.grid")
+    sizes = {key: _int_field(grid_doc, key, "config.grid", 1)
+             for key in ("t_max", "f_max", "symbols_per_rb")}
     try:
-        grid = ResourceGrid(t_max=grid_doc.get("t_max", 1),
-                            f_max=grid_doc.get("f_max", 1),
-                            symbols_per_rb=grid_doc.get("symbols_per_rb", 1))
+        grid = ResourceGrid(**sizes)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"config.grid: {exc}") from exc
     correlation = _correlation_from_dict(doc.get("correlation", {"mode": "none"}),
@@ -393,7 +415,8 @@ def _realize(config: ScenarioConfig, index: int, needs: set) -> dict:
     Draw order from substream(seed, index): per (user, cluster) in
     lexicographic order, the direction (only for "random" clusters) and then
     the cluster phase; afterwards per (user, cluster) the link grids.  This
-    order is the reproducibility contract.
+    order is the reproducibility contract.  Each statistic is taken once over
+    the (t_max, f_max, N, K) channel tensor, RBs in t-major order.
     """
     rng = substream(config.seed, index)
     n = config.geometry.n_antennas
@@ -406,26 +429,27 @@ def _realize(config: ScenarioConfig, index: int, needs: set) -> dict:
             phase = rng.uniform(0.0, 2.0 * np.pi)
             row.append(build_spatial_pair(cluster, config.geometry, phase_offset=phase))
         pairs.append(row)
-    qgrids = [[sample_q_block(config.correlation, config.grid, n, rng)
-               for _ in user.clusters] for user in config.users]
-    blocks = [assemble_channel(pairs, qgrids, rb=(t, f))
-              for t in range(1, config.grid.t_max + 1)
-              for f in range(1, config.grid.f_max + 1)]
+    # the grids are bound to no name, so they are freed once assembled
+    h = assemble_channel(pairs, [[sample_q_block(config.correlation, config.grid, n, rng)
+                                  for _ in user.clusters] for user in config.users])
 
     out = {}
     if "histogram" in needs:
-        out["samples"] = np.concatenate([b.h.ravel() for b in blocks])
-    if "cross-correlation" in needs:
-        out["offdiag"] = np.concatenate([analytics.gram(b).offdiag_mags for b in blocks])
-    if "eigencdf" in needs:
-        out["eigen"] = np.concatenate(
-            [analytics.eigenvalues_hermitian(analytics.gram(b).g) for b in blocks])
+        out["samples"] = h.ravel()
+    if needs & {"cross-correlation", "eigencdf"}:
+        stats = analytics.gram(h)
+        if "cross-correlation" in needs:
+            out["offdiag"] = stats.offdiag_mags.ravel()
+        if "eigencdf" in needs:
+            out["eigen"] = analytics.eigenvalues_hermitian(stats.g).ravel()
     if "power-profile" in needs:
-        out["power"] = sum(np.abs(b.h) ** 2 for b in blocks) / len(blocks)
+        out["power"] = analytics.power_profile(h)
     if "correlation-matrix" in needs:
-        out["xcorr"] = sum(analytics.pairwise_correlation(b) for b in blocks) / len(blocks)
+        k = config.n_users
+        out["xcorr"] = analytics.ordered_mean(
+            analytics.pairwise_correlation(h).reshape(-1, k, k))
     if "raw-channel" in needs:
-        out["raw"] = [(index, b.rb[0], b.rb[1], b.h) for b in blocks]
+        out["raw"] = [(index, t + 1, f + 1, h[t, f]) for t, f in np.ndindex(h.shape[:2])]
     return out
 
 
@@ -438,8 +462,8 @@ def run_scenario(config: ScenarioConfig, out_dir=None, threads: int = 1) -> Repo
     single-threaded run.  With ``out_dir`` set, artifacts are also written
     as CSV/SVG files plus a manifest (see :mod:`blockfade.emit`).
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads!r}")
+    if not (_is_int(threads) and threads >= 1):
+        raise ConfigError(f"threads must be a positive integer, got {threads!r}")
     needs = set(config.outputs)
     indices = range(config.realizations)
     if threads == 1:
@@ -463,18 +487,10 @@ def run_scenario(config: ScenarioConfig, out_dir=None, threads: int = 1) -> Repo
         eigen = np.concatenate([r["eigen"] for r in results])
         artifacts["eigencdf"] = analytics.empirical_cdf(eigen / config.mean_link_power())
     if "power-profile" in needs:
-        acc = np.zeros((config.geometry.n_antennas, config.n_users))
-        for r in results:
-            acc += r["power"]
-        artifacts["power-profile"] = acc / len(results)
+        artifacts["power-profile"] = analytics.ordered_mean([r["power"] for r in results])
     if "correlation-matrix" in needs:
-        acc = np.zeros((config.n_users, config.n_users))
-        for r in results:
-            acc += r["xcorr"]
-        acc /= len(results)
-        acc = 0.5 * (acc + acc.T)
-        np.fill_diagonal(acc, 1.0)
-        artifacts["correlation-matrix"] = analytics.UserCorrelationMatrix(values=acc)
+        artifacts["correlation-matrix"] = analytics.average_correlation(
+            [r["xcorr"] for r in results])
     if "raw-channel" in needs:
         artifacts["raw-channel"] = [row for r in results for row in r["raw"]]
 

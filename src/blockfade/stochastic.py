@@ -84,23 +84,6 @@ class CorrelationSpec:
         return cls(mode=mode, matrix=matrix, length=matrix.shape[0])
 
 
-@dataclass(frozen=True)
-class QGrid:
-    """Correlated CN(0, 1) values of one link, indexed by (RB time, RB freq)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.ndim != 2:
-            raise ValueError("QGrid values must be 2-D (t_max, f_max)")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def shape(self):
-        return self.values.shape
-
-
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Independent, reproducible random stream for (seed, *path).
 
@@ -187,27 +170,16 @@ def _validate_length(spec: CorrelationSpec, grid: ResourceGrid):
                          f"f_max {grid.f_max}")
 
 
-def sample_q_grid(spec: CorrelationSpec, grid: ResourceGrid,
-                  rng: np.random.Generator) -> QGrid:
-    """Sample one link's correlated Gaussian grid.
-
-    mode "time": each column (fixed f) is a draw of CN(0, Sigma), columns
-    mutually independent.  mode "frequency": each row is such a draw, rows
-    independent.  mode "none": all entries i.i.d. CN(0, 1).
-    """
-    _validate_length(spec, grid)
-    values = sample_q_block(spec, grid, 1, rng)[0]
-    return QGrid(values=values)
-
-
 def sample_q_block(spec: CorrelationSpec, grid: ResourceGrid, n_links: int,
                    rng: np.random.Generator) -> np.ndarray:
-    """Sample the grids of ``n_links`` links in one call.
+    """Sample the correlated Gaussian grids of ``n_links`` links in one call.
 
-    Returns an (n_links, t_max, f_max) array.  Stacking several links into
-    one call changes only how the uniform stream is chunked, not the
-    distribution; a one-link block reproduces :func:`sample_q_grid` draw
-    for draw.
+    Returns an (n_links, t_max, f_max) array.  mode "time": each column
+    (fixed f) of a link's grid is a draw of CN(0, Sigma), columns mutually
+    independent.  mode "frequency": each row is such a draw, rows
+    independent.  mode "none": all entries i.i.d. CN(0, 1).  Stacking
+    several links into one call changes only how the uniform stream is
+    chunked, not the distribution.
     """
     _validate_length(spec, grid)
     z = complex_normal(rng, (n_links, grid.t_max, grid.f_max))

@@ -9,7 +9,7 @@ import numpy as np
 from blockfade import (ArrayGeometry, ClusterSpec, CorrelationSpec, ResourceGrid,
                        UserSpec, ScenarioConfig, assemble_channel,
                        build_spatial_pair, build_covariance, expand_preset, gram,
-                       phase_ramp, run_scenario, sample_q_grid, substream)
+                       phase_ramp, run_scenario, sample_q_block, substream)
 
 
 def announce(criterion: str, ok: bool, detail: str):
@@ -45,8 +45,7 @@ def test_criterion_02_phase_slope_law():
 
 def test_criterion_03_covariance_recovery():
     spec = CorrelationSpec.exponential("time", 0.9, 64)
-    grid = sample_q_grid(spec, ResourceGrid(t_max=64, f_max=10 ** 4), substream(103, 0))
-    q = grid.values
+    q = sample_q_block(spec, ResourceGrid(t_max=64, f_max=10 ** 4), 1, substream(103, 0))[0]
     sample_cov = q @ q.conj().T / q.shape[1]
     err = float(np.abs(sample_cov - build_covariance(spec)).max())
     announce("criterion 3: covariance recovery", err <= 0.05,
@@ -84,7 +83,7 @@ def test_criterion_05_deterministic_gram_oracle():
         thetas = (np.pi / 2, float(np.arccos(2 * delta / np.pi)))
         pairs = [[build_spatial_pair(ClusterSpec(direction=t, spread_fraction=0.0), geo)]
                  for t in thetas]
-        block = assemble_channel(pairs, [[zeros], [zeros]], rb=(1, 1))
+        block = assemble_channel(pairs, [[zeros], [zeros]])[0, 0]
         g12 = float(np.abs(gram(block).g[0, 1]))
         expected = abs(np.sin(n * delta / 2) / (n * np.sin(delta / 2)))
         worst = max(worst, abs(g12 - expected))

@@ -97,6 +97,8 @@ class TestEigenvaluesHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NumericalError, match="Hermitian"):
             eigenvalues_hermitian(np.array([[1.0, 2.0], [0.5, 1.0]]))
+        with pytest.raises(NumericalError, match="finite"):
+            eigenvalues_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(15)

@@ -6,7 +6,7 @@ import pytest
 from blockfade import (ArrayGeometry, ChannelBlock, ClusterSpec, CorrelationSpec,
                        ResourceGrid, UplinkFrame, assemble_channel,
                        build_spatial_pair, qpsk_symbols, sample_q_block,
-                       sample_q_grid, stack_qgrids, substream, synthesize_uplink)
+                       substream, synthesize_uplink)
 
 GEO = ArrayGeometry(n_antennas=4, spacing_ratio=0.25)
 GRID = ResourceGrid(t_max=2, f_max=3)
@@ -27,25 +27,25 @@ class TestAssembleChannel:
         rng = substream(1, 0)
         pairs, qgrids = _pairs_and_grids([0.0, 0.0], [0.3, 1.1], rng, betas=[0.6, 0.4])
         expected = pairs[0][0].p + pairs[0][1].p
-        blocks = [assemble_channel(pairs, qgrids, rb=(t, f))
-                  for t in (1, 2) for f in (1, 2, 3)]
-        for block in blocks:
-            assert np.array_equal(block.h[:, 0], expected)
+        h = assemble_channel(pairs, qgrids)
+        for t in (1, 2):
+            for f in (1, 2, 3):
+                assert np.array_equal(h[t - 1, f - 1][:, 0], expected)
 
     def test_single_unit_cluster_reduces_to_grid(self):
         rng = substream(1, 1)
         pairs, qgrids = _pairs_and_grids([1.0], [0.5], rng)
-        block = assemble_channel(pairs, qgrids, rb=(2, 3))
-        assert np.array_equal(block.h[:, 0], qgrids[0][0][:, 1, 2])
+        h = assemble_channel(pairs, qgrids)[2 - 1, 3 - 1]
+        assert np.array_equal(h[:, 0], qgrids[0][0][:, 1, 2])
 
     def test_block_fading_varies_only_across_rb_indices(self):
         rng = substream(1, 2)
         pairs, qgrids = _pairs_and_grids([0.5], [0.7], rng)
-        again = assemble_channel(pairs, qgrids, rb=(1, 1))
-        first = assemble_channel(pairs, qgrids, rb=(1, 1))
-        other = assemble_channel(pairs, qgrids, rb=(1, 2))
-        assert np.array_equal(first.h, again.h)
-        assert not np.array_equal(first.h, other.h)
+        again = assemble_channel(pairs, qgrids)[0, 0]
+        first = assemble_channel(pairs, qgrids)[0, 0]
+        other = assemble_channel(pairs, qgrids)[0, 1]
+        assert np.array_equal(first, again)
+        assert not np.array_equal(first, other)
 
     def test_small_spread_moments(self):
         # 10^4 realizations of a single-antenna link: mean -> p, std -> r
@@ -56,8 +56,8 @@ class TestAssembleChannel:
         rng = substream(2, 0)
         samples = np.array([
             assemble_channel([[pair]],
-                             [[sample_q_block(CorrelationSpec.none(), grid, 1, rng)]],
-                             rb=(1, 1)).h[0, 0]
+                             [[sample_q_block(CorrelationSpec.none(), grid, 1, rng)]]
+                             )[0, 0][0, 0]
             for _ in range(10 ** 4)])
         assert abs(samples.mean() - pair.p[0]) <= 0.01
         std = np.sqrt(np.mean(np.abs(samples - samples.mean()) ** 2))
@@ -79,34 +79,26 @@ class TestAssembleChannel:
                       for c in clusters]]
             qg = [[sample_q_block(CorrelationSpec.none(), grid, 2, rng)
                    for _ in clusters]]
-            acc += np.abs(assemble_channel(pairs, qg).h[:, 0]) ** 2
+            acc += np.abs(assemble_channel(pairs, qg)[0, 0][:, 0]) ** 2
         acc /= m
         assert np.abs(acc - 1.2).max() <= 0.03 * 1.2
-
-    def test_accepts_qgrid_objects(self):
-        rng = substream(4, 0)
-        pair = build_spatial_pair(ClusterSpec(direction=0.2, spread_fraction=0.5), GEO)
-        per_antenna = [sample_q_grid(CorrelationSpec.none(), GRID, substream(4, 1, i))
-                       for i in range(4)]
-        block = assemble_channel([[pair]], [[per_antenna]], rb=(1, 1))
-        stacked = stack_qgrids(per_antenna)
-        expected = pair.p + pair.r * stacked[:, 0, 0]
-        assert np.array_equal(block.h[:, 0], expected)
 
     def test_dimension_errors(self):
         rng = substream(5, 0)
         pairs, qgrids = _pairs_and_grids([0.5], [0.3], rng)
         with pytest.raises(ValueError):
-            assemble_channel(pairs, [], rb=(1, 1))
-        with pytest.raises(ValueError):
-            assemble_channel(pairs, qgrids, rb=(3, 1))  # t outside grid
+            assemble_channel(pairs, [])
         bad = [[qgrids[0][0][:2]]]
         with pytest.raises(ValueError):
-            assemble_channel(pairs, bad, rb=(1, 1))
+            assemble_channel(pairs, bad)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             ChannelBlock(h=np.array([[np.inf + 0j]]))
+        pairs, qgrids = _pairs_and_grids([0.5], [0.3], substream(5, 1))
+        qgrids[0][0][1, 1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            assemble_channel(pairs, qgrids)
 
 
 class TestSynthesizeUplink:

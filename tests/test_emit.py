@@ -144,6 +144,33 @@ class TestCli:
         echo = json.loads((out / "config.json").read_text())
         assert echo["seed"] == 9
 
+    @pytest.mark.parametrize("key, value", [
+        ("mean_power", [0.5, 1.5]),   # vector length 2 on a 4-antenna array
+        ("bins", 2.5),
+        ("realizations", True),
+    ])
+    def test_document_that_validates_also_simulates(self, key, value, tmp_path, capsys):
+        doc = {"seed": 3, "geometry": {"n_antennas": 4},
+               "users": [{"clusters": [{"direction": 0.1, "spread_fraction": 0.5,
+                                        "mean_power": 1.0}]}],
+               "realizations": 2, "outputs": ["histogram"]}
+        if key == "mean_power":
+            doc["users"][0]["clusters"][0][key] = value
+        else:
+            doc[key] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        assert main(["simulate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error") == 2 and key in err
+
+    @pytest.mark.parametrize("option, value", [
+        ("--seed", "-1"), ("--seed", str(2 ** 64)), ("--threads", "0")])
+    def test_bad_cli_values_exit_2(self, option, value, capsys):
+        assert main(["preset", "fig2", option, value]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

@@ -1,5 +1,6 @@
 """Tests for configuration parsing, presets, and the scenario runner."""
 
+import collections
 import json
 from dataclasses import replace
 
@@ -83,6 +84,22 @@ class TestParseConfig:
     def test_unknown_output_rejected(self):
         with pytest.raises(ConfigError, match="unknown output"):
             parse_config(json.dumps(_doc(outputs=["spectrogram"])))
+
+    @pytest.mark.parametrize("value", [True, 2.5])
+    @pytest.mark.parametrize("field", [
+        ("seed",), ("realizations",), ("bins",), ("geometry", "n_antennas"),
+        ("grid", "t_max"), ("grid", "f_max"), ("grid", "symbols_per_rb"),
+        ("correlation", "length")], ids=".".join)
+    def test_integer_fields_reject_bools_and_floats(self, field, value):
+        doc = _doc(grid={"t_max": 2, "f_max": 1, "symbols_per_rb": 1}, bins=8,
+                   correlation={"mode": "time", "model": "exponential",
+                                "rho": 0.5, "length": 2})
+        target = doc
+        for key in field[:-1]:
+            target = target[key]
+        target[field[-1]] = value
+        with pytest.raises(ConfigError, match=field[-1]):
+            parse_config(json.dumps(doc))
 
     def test_correlation_outputs_need_two_users(self):
         with pytest.raises(ConfigError, match="two users"):
@@ -206,6 +223,27 @@ class TestRunScenario:
                                 "rho": 0.9, "length": 8})
         bundle = run_scenario(parse_config(json.dumps(doc)))
         assert bundle.artifacts["histogram"].total == 5 * 16 * 4
+
+    def test_statistics_run_once_per_realization(self, monkeypatch):
+        from blockfade import analytics, scenario
+        calls = collections.Counter()
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+        counting(scenario, "assemble_channel")
+        for name in ("gram", "eigenvalues_hermitian", "pairwise_correlation"):
+            counting(analytics, name)
+        doc = _doc(grid={"t_max": 2, "f_max": 3}, realizations=3,
+                   outputs=list(scenario.ARTIFACT_NAMES))
+        doc["users"] *= 2
+        run_scenario(parse_config(json.dumps(doc)))
+        assert calls == {"assemble_channel": 3, "gram": 3, "eigenvalues_hermitian": 3,
+                         "pairwise_correlation": 3}
 
     def test_threads_validation(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 
 from blockfade import (CorrelationSpec, NumericalError, ResourceGrid,
                        build_covariance, cholesky_psd, complex_normal,
-                       sample_q_block, sample_q_grid, substream)
+                       sample_q_block, substream)
 
 
 class TestBuildCovariance:
@@ -94,37 +94,34 @@ class TestComplexNormal:
         assert abs(np.var(q.imag) - 0.5) <= 0.02
 
 
-class TestSampleQGrid:
+class TestSampleQBlock:
     def test_iid_mode_moments(self):
-        grid = sample_q_grid(CorrelationSpec.none(), ResourceGrid(t_max=100, f_max=1000),
-                             substream(23, 0))
-        q = grid.values
+        q = sample_q_block(CorrelationSpec.none(), ResourceGrid(t_max=100, f_max=1000), 1,
+                           substream(23, 0))[0]
         assert q.shape == (100, 1000)
         assert np.abs(q.mean()) <= 5 / np.sqrt(q.size)
         assert abs(np.mean(np.abs(q) ** 2) - 1.0) <= 0.02
 
     def test_lag_one_autocorrelation(self):
         spec = CorrelationSpec.exponential("time", 0.9, 64)
-        grid = sample_q_grid(spec, ResourceGrid(t_max=64, f_max=10 ** 4), substream(23, 1))
-        q = grid.values
+        q = sample_q_block(spec, ResourceGrid(t_max=64, f_max=10 ** 4), 1, substream(23, 1))[0]
         r1 = np.mean(q[1:, :] * q[:-1, :].conj()).real
         assert 0.87 <= r1 <= 0.93
 
     def test_single_block_time_matches_iid(self):
         grid = ResourceGrid(t_max=1, f_max=512)
-        a = sample_q_grid(CorrelationSpec.exponential("time", 0.7, 1), grid,
-                          substream(9, 4))
-        b = sample_q_grid(CorrelationSpec.none(), grid, substream(9, 4))
+        a = sample_q_block(CorrelationSpec.exponential("time", 0.7, 1), grid, 1,
+                           substream(9, 4))[0]
+        b = sample_q_block(CorrelationSpec.none(), grid, 1, substream(9, 4))[0]
         # 1x1 covariance factors to (nearly) 1; identical stream, same draws
-        assert np.allclose(a.values, b.values, rtol=1e-6)
+        assert np.allclose(a, b, rtol=1e-6)
 
     @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
     def test_covariance_recovery(self, rho):
         n = 4
         spec = CorrelationSpec.exponential("time", rho, n)
-        grid = sample_q_grid(spec, ResourceGrid(t_max=n, f_max=10 ** 4),
-                             substream(31, int(rho * 10)))
-        q = grid.values
+        q = sample_q_block(spec, ResourceGrid(t_max=n, f_max=10 ** 4), 1,
+                           substream(31, int(rho * 10)))[0]
         sample_cov = q @ q.conj().T / q.shape[1]
         target = build_covariance(spec)
         assert np.abs(sample_cov - target).max() <= 0.05
@@ -132,9 +129,8 @@ class TestSampleQGrid:
     def test_frequency_mode_correlates_rows(self):
         n = 4
         spec = CorrelationSpec.exponential("frequency", 0.8, n)
-        grid = sample_q_grid(spec, ResourceGrid(t_max=10 ** 4, f_max=n),
-                             substream(31, 9))
-        q = grid.values
+        q = sample_q_block(spec, ResourceGrid(t_max=10 ** 4, f_max=n), 1,
+                           substream(31, 9))[0]
         sample_cov = q.T.conj() @ q / q.shape[0]
         target = build_covariance(spec)
         assert np.abs(sample_cov.T - target).max() <= 0.05
@@ -142,21 +138,18 @@ class TestSampleQGrid:
     def test_length_mismatch_rejected(self):
         spec = CorrelationSpec.exponential("time", 0.5, 8)
         with pytest.raises(ValueError, match="length"):
-            sample_q_grid(spec, ResourceGrid(t_max=4, f_max=1), substream(1, 0))
+            sample_q_block(spec, ResourceGrid(t_max=4, f_max=1), 1, substream(1, 0))
 
-    def test_block_sampling_shape_and_single_link(self):
+    def test_block_sampling_shape(self):
         grid = ResourceGrid(t_max=3, f_max=2)
         block = sample_q_block(CorrelationSpec.none(), grid, 5, substream(2, 0))
         assert block.shape == (5, 3, 2)
-        one = sample_q_block(CorrelationSpec.none(), grid, 1, substream(2, 0))
-        single = sample_q_grid(CorrelationSpec.none(), grid, substream(2, 0))
-        assert np.array_equal(one[0], single.values)
         assert abs(np.mean(np.abs(block) ** 2) - 1.0) <= 0.4  # coarse moment sanity
 
     def test_independence_across_substreams(self):
         grid = ResourceGrid(t_max=1, f_max=10 ** 4)
-        a = sample_q_grid(CorrelationSpec.none(), grid, substream(77, 0, 0)).values.ravel()
-        b = sample_q_grid(CorrelationSpec.none(), grid, substream(77, 0, 1)).values.ravel()
+        a = sample_q_block(CorrelationSpec.none(), grid, 1, substream(77, 0, 0)).ravel()
+        b = sample_q_block(CorrelationSpec.none(), grid, 1, substream(77, 0, 1)).ravel()
         cross = np.abs(np.mean(a * b.conj()))
         assert cross <= 0.05
 
