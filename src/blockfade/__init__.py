@@ -18,7 +18,7 @@ from .assembly import (ChannelBlock, UplinkFrame, assemble_channel, qpsk_symbols
 from .errors import ConfigError, NumericalError
 from .model import (RANDOM_DIRECTION, ArrayGeometry, ClusterSpec, ResourceGrid,
                     SpatialPair, UserSpec, build_spatial_pair, draw_direction,
-                    phase_ramp, spread_to_std)
+                    phase_ramp)
 from .scenario import (ReportBundle, ScenarioConfig, expand_preset, parse_config,
                        run_scenario)
 from .stochastic import (CorrelationSpec, build_covariance, cholesky_psd,
@@ -34,6 +34,6 @@ __all__ = [
     "eigenvalues_hermitian", "empirical_cdf", "expand_preset", "gram",
     "offdiag_exceedance", "parse_config", "phase_ramp", "power_profile",
     "qpsk_symbols", "run_scenario", "sample_q_block",
-    "spread_to_std", "substream", "synthesize_uplink",
+    "substream", "synthesize_uplink",
     "user_correlation",
 ]

@@ -6,6 +6,11 @@ amplitude) and a nonnegative standard-deviation vector (the random Rician
 part).  The split between the two is controlled by the cluster's angular
 spread fraction: at spread 0 the link is fully deterministic, at spread 1
 it degenerates to i.i.d. Rayleigh fading.
+
+The spec types check their own fields once, at construction, so the
+numerics trust a constructed spec.  ``build_spatial_pair`` needs a fixed
+direction: a "random" cluster is given one per realization by the caller
+(``draw_direction``, then ``dataclasses.replace``).
 """
 
 from __future__ import annotations
@@ -18,6 +23,11 @@ import numpy as np
 RANDOM_DIRECTION = "random"
 
 TWO_PI = 2.0 * np.pi
+
+
+def is_int(value) -> bool:
+    """True for integers; bools and integral floats are not integers here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -34,7 +44,7 @@ class ArrayGeometry:
     spacing_ratio: float = 0.25
 
     def __post_init__(self):
-        if not (isinstance(self.n_antennas, (int, np.integer)) and self.n_antennas >= 1):
+        if not (is_int(self.n_antennas) and self.n_antennas >= 1):
             raise ValueError(f"n_antennas must be a positive integer, got {self.n_antennas!r}")
         if not (np.isfinite(self.spacing_ratio) and self.spacing_ratio > 0):
             raise ValueError(f"spacing_ratio must be > 0, got {self.spacing_ratio!r}")
@@ -162,7 +172,7 @@ class ResourceGrid:
     def __post_init__(self):
         for name in ("t_max", "f_max", "symbols_per_rb"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, np.integer)) and v >= 1):
+            if not (is_int(v) and v >= 1):
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
 
 
@@ -182,23 +192,6 @@ def phase_ramp(theta: float, geometry: ArrayGeometry) -> np.ndarray:
     return np.mod(slope * np.arange(geometry.n_antennas), TWO_PI)
 
 
-def spread_to_std(beta: Union[float, np.ndarray], s: float) -> Union[float, np.ndarray]:
-    """Map angular-spread fraction s to the spatial standard deviation.
-
-    r = s * sqrt(beta), so the power budget |p|^2 + r^2 = beta closes for
-    every beta: s=0 leaves the link fully deterministic, s=1 puts all the
-    power into the random part.
-    """
-    s = float(s)
-    if not (np.isfinite(s) and 0.0 <= s <= 1.0):
-        raise ValueError(f"spread fraction must lie in [0, 1], got {s!r}")
-    beta_arr = np.asarray(beta, dtype=float)
-    if not (np.isfinite(beta_arr).all() and (beta_arr > 0).all()):
-        raise ValueError("power must be positive and finite")
-    r = s * np.sqrt(beta_arr)
-    return float(r) if np.isscalar(beta) or beta_arr.ndim == 0 else r
-
-
 def draw_direction(rng: np.random.Generator) -> float:
     """Draw a cluster direction uniformly on [0, pi)."""
     return float(rng.uniform(0.0, np.pi))
@@ -206,30 +199,25 @@ def draw_direction(rng: np.random.Generator) -> float:
 
 def build_spatial_pair(cluster: ClusterSpec,
                        geometry: ArrayGeometry,
-                       direction_rng: np.random.Generator = None,
                        phase_offset: float = 0.0) -> SpatialPair:
     """Build the (p, r) vectors of one cluster link.
 
     Per antenna: r_i = s * sqrt(beta_i), |p_i| = sqrt(beta_i - r_i^2) and
-    arg(p_i) follows the phase ramp of the cluster direction.  A cluster
-    marked "random" draws its direction from ``direction_rng``.
+    arg(p_i) follows the phase ramp of the cluster direction, so the power
+    budget |p_i|^2 + r_i^2 = beta_i closes for every spread.  The cluster
+    needs a fixed direction; a "random" cluster raises ValueError.
 
     Args:
-        cluster: cluster parameters.
+        cluster: cluster parameters with a fixed direction.
         geometry: array geometry.
-        direction_rng: random stream for "random"-direction clusters.
         phase_offset: common phase added to every antenna; models the
             unresolved propagation phase of the cluster and leaves both the
             power budget and the phase slope untouched.
     """
     if cluster.is_random_direction:
-        if direction_rng is None:
-            raise ValueError("cluster direction is 'random' but no direction_rng given")
-        theta = draw_direction(direction_rng)
-    else:
-        theta = float(cluster.direction)
+        raise ValueError("cluster direction is 'random'; draw a fixed direction first")
     beta = cluster.power_vector(geometry.n_antennas)
-    r = spread_to_std(beta, cluster.spread_fraction)
+    r = cluster.spread_fraction * np.sqrt(beta)
     amp = np.sqrt(np.maximum(beta - r ** 2, 0.0))
-    phases = phase_ramp(theta, geometry) + phase_offset
-    return SpatialPair(p=amp * np.exp(1j * phases), r=np.asarray(r, dtype=float))
+    phases = phase_ramp(cluster.direction, geometry) + phase_offset
+    return SpatialPair(p=amp * np.exp(1j * phases), r=r)

@@ -20,8 +20,8 @@ from . import analytics
 from .assembly import assemble_channel
 from .errors import ConfigError
 from .model import (RANDOM_DIRECTION, ArrayGeometry, ClusterSpec, ResourceGrid,
-                    UserSpec, build_spatial_pair, draw_direction)
-from .stochastic import CorrelationSpec, build_covariance, sample_q_block, substream
+                    UserSpec, build_spatial_pair, draw_direction, is_int)
+from .stochastic import CorrelationSpec, check_length, sample_q_block, substream
 
 ARTIFACT_NAMES = ("histogram", "cross-correlation", "eigencdf",
                   "power-profile", "correlation-matrix", "raw-channel")
@@ -54,11 +54,6 @@ PRESET_NAMES = ("iid", "nlos", "los", "paper-A", "paper-B", "paper-C", "paper-D"
                 "fig2", "fig3", "fig4", "fig5", "fig6")
 
 
-def _is_int(value) -> bool:
-    """True for integers; bools and integral floats are not integers here."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Fully validated simulation scenario; violations raise ConfigError."""
@@ -73,13 +68,13 @@ class ScenarioConfig:
     bins: int = DEFAULT_BINS
 
     def __post_init__(self):
-        if not (_is_int(self.seed) and 0 <= self.seed < 2 ** 64):
+        if not (is_int(self.seed) and 0 <= self.seed < 2 ** 64):
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         users = tuple(self.users)
         object.__setattr__(self, "users", users)
         if len(users) < 1:
             raise ConfigError("at least one user required")
-        if not (_is_int(self.realizations) and self.realizations >= 1):
+        if not (is_int(self.realizations) and self.realizations >= 1):
             raise ConfigError(f"realizations must be a positive integer, "
                               f"got {self.realizations!r}")
         seen = []
@@ -89,12 +84,9 @@ class ScenarioConfig:
             if name not in seen:
                 seen.append(name)
         object.__setattr__(self, "outputs", tuple(seen))
-        if not (_is_int(self.bins) and self.bins >= 1):
+        if not (is_int(self.bins) and self.bins >= 1):
             raise ConfigError(f"bins must be a positive integer, got {self.bins!r}")
-        if self.correlation.mode == "time" and self.correlation.length != self.grid.t_max:
-            raise ConfigError("correlation.length must equal grid.t_max for mode 'time'")
-        if self.correlation.mode == "frequency" and self.correlation.length != self.grid.f_max:
-            raise ConfigError("correlation.length must equal grid.f_max for mode 'frequency'")
+        check_length(self.correlation, self.grid)
         n = self.geometry.n_antennas
         for j, user in enumerate(users):
             for c, cluster in enumerate(user.clusters):
@@ -141,11 +133,12 @@ def _require_keys(mapping: dict, allowed: dict, path: str) -> dict:
     return out
 
 
-def _int_field(mapping: dict, key: str, path: str, default=None):
-    value = mapping.get(key, default)
-    if not _is_int(value):
-        raise ConfigError(f"{path}.{key}: must be an integer, got {value!r}")
-    return value
+def _build(path: str, make, *args, **kwargs):
+    """Call a spec constructor; the error it raises becomes a ConfigError at ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _cluster_from_dict(d: dict, path: str) -> ClusterSpec:
@@ -153,42 +146,25 @@ def _cluster_from_dict(d: dict, path: str) -> ClusterSpec:
         raise ConfigError(f"{path}: cluster must be an object")
     d = _require_keys(d, {"direction": True, "spread_fraction": True, "mean_power": False},
                       path)
-    direction = d["direction"]
-    if isinstance(direction, str) and direction != RANDOM_DIRECTION:
-        raise ConfigError(f"{path}.direction: must be an angle in [0, pi) or "
-                          f"{RANDOM_DIRECTION!r}")
-    try:
-        return ClusterSpec(direction=direction,
-                           spread_fraction=d["spread_fraction"],
-                           mean_power=d.get("mean_power", 1.0))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return _build(path, ClusterSpec, **d)
 
 
 def _correlation_from_dict(d: dict, path: str) -> CorrelationSpec:
     if not isinstance(d, dict):
         raise ConfigError(f"{path}: correlation must be an object")
     mode = d.get("mode", "none")
-    try:
-        if mode == "none":
-            _require_keys(d, {"mode": False}, path)
-            return CorrelationSpec.none()
-        model = d.get("model", "exponential")
-        if model == "exponential":
-            d = _require_keys(d, {"mode": True, "model": False, "rho": True,
-                                  "length": True}, path)
-            return CorrelationSpec.exponential(mode, d["rho"],
-                                               _int_field(d, "length", path))
-        if model == "custom":
-            d = _require_keys(d, {"mode": True, "model": True, "matrix": True}, path)
-            spec = CorrelationSpec.custom(mode, np.asarray(d["matrix"], dtype=float))
-            build_covariance(spec)  # eager Hermitian/diagonal/PSD validation
-            return spec
-        raise ConfigError(f"{path}.model: must be 'exponential' or 'custom', got {model!r}")
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    if mode == "none":
+        _require_keys(d, {"mode": False}, path)
+        return CorrelationSpec.none()
+    model = d.get("model", "exponential")
+    if model == "exponential":
+        d = _require_keys(d, {"mode": True, "model": False, "rho": True, "length": True},
+                          path)
+        return _build(path, CorrelationSpec.exponential, mode, d["rho"], d["length"])
+    if model == "custom":
+        d = _require_keys(d, {"mode": True, "model": True, "matrix": True}, path)
+        return _build(path, CorrelationSpec.custom, mode, d["matrix"])
+    raise ConfigError(f"{path}.model: must be 'exponential' or 'custom', got {model!r}")
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
@@ -207,12 +183,7 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
         raise ConfigError("config.geometry: must be an object")
     geo = _require_keys(geo, {"n_antennas": True, "spacing_ratio": False},
                         "config.geometry")
-    n_antennas = _int_field(geo, "n_antennas", "config.geometry")
-    try:
-        geometry = ArrayGeometry(n_antennas=n_antennas,
-                                 spacing_ratio=geo.get("spacing_ratio", 0.25))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"config.geometry: {exc}") from exc
+    geometry = _build("config.geometry", ArrayGeometry, **geo)
     if not isinstance(doc["users"], list) or not doc["users"]:
         raise ConfigError("config.users: must be a non-empty list")
     users = []
@@ -225,33 +196,22 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
             raise ConfigError(f"{path}.clusters: must be a non-empty list")
         clusters = tuple(_cluster_from_dict(c, f"{path}.clusters[{i}]")
                          for i, c in enumerate(user_doc["clusters"]))
-        try:
-            users.append(UserSpec(clusters=clusters))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        users.append(_build(path, UserSpec, clusters))
     grid_doc = doc.get("grid", {})
     if not isinstance(grid_doc, dict):
         raise ConfigError("config.grid: must be an object")
     grid_doc = _require_keys(grid_doc, {"t_max": False, "f_max": False,
                                         "symbols_per_rb": False}, "config.grid")
-    sizes = {key: _int_field(grid_doc, key, "config.grid", 1)
-             for key in ("t_max", "f_max", "symbols_per_rb")}
-    try:
-        grid = ResourceGrid(**sizes)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"config.grid: {exc}") from exc
+    grid = _build("config.grid", ResourceGrid, **grid_doc)
     correlation = _correlation_from_dict(doc.get("correlation", {"mode": "none"}),
                                          "config.correlation")
     outputs = doc.get("outputs", [])
     if not isinstance(outputs, list):
         raise ConfigError("config.outputs: must be a list of artifact names")
-    try:
-        return ScenarioConfig(seed=doc["seed"], geometry=geometry, users=tuple(users),
-                              grid=grid, correlation=correlation,
-                              realizations=doc["realizations"],
-                              outputs=tuple(outputs), bins=doc.get("bins", DEFAULT_BINS))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"config: {exc}") from exc
+    return _build("config", ScenarioConfig, seed=doc["seed"], geometry=geometry,
+                  users=tuple(users), grid=grid, correlation=correlation,
+                  realizations=doc["realizations"], outputs=tuple(outputs),
+                  bins=doc.get("bins", DEFAULT_BINS))
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -462,7 +422,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None, threads: int = 1) -> Repo
     single-threaded run.  With ``out_dir`` set, artifacts are also written
     as CSV/SVG files plus a manifest (see :mod:`blockfade.emit`).
     """
-    if not (_is_int(threads) and threads >= 1):
+    if not (is_int(threads) and threads >= 1):
         raise ConfigError(f"threads must be a positive integer, got {threads!r}")
     needs = set(config.outputs)
     indices = range(config.realizations)

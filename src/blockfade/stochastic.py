@@ -11,6 +11,11 @@ Sampling is reproducible across platforms: all Gaussians come from the
 fixed transform ``sqrt(-ln u1) * exp(2j*pi*u2)`` applied to uniforms from a
 counter-based (Philox) stream, so a seed plus a stream path fully
 determines every value.
+
+``CorrelationSpec`` validates its fields at construction, a custom matrix
+included (Hermitian, unit diagonal, PSD), so ``build_covariance`` only
+builds the matrix.  ``check_length`` is the one check that a spec fits a
+resource grid.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NumericalError
-from .model import ResourceGrid
+from .errors import ConfigError, NumericalError
+from .model import ResourceGrid, is_int
 
 MODES = ("time", "frequency", "none")
 
@@ -51,7 +56,7 @@ class CorrelationSpec:
             if self.rho is not None or self.matrix is not None:
                 raise ValueError("mode 'none' takes no correlation model")
             return
-        if not (isinstance(self.length, (int, np.integer)) and self.length >= 1):
+        if not (is_int(self.length) and self.length >= 1):
             raise ValueError(f"length must be a positive integer, got {self.length!r}")
         if (self.rho is None) == (self.matrix is None):
             raise ValueError("exactly one of rho / matrix must be given")
@@ -64,6 +69,13 @@ class CorrelationSpec:
             if m.shape != (self.length, self.length):
                 raise ValueError(f"custom matrix must be {self.length}x{self.length}, "
                                  f"got {m.shape}")
+            if not np.allclose(m, m.conj().T, rtol=0.0, atol=1e-12):
+                raise ValueError("custom covariance must be Hermitian")
+            if not np.allclose(np.diag(m).real, 1.0, rtol=0.0, atol=1e-12) or \
+                    np.abs(np.diag(m).imag).max(initial=0.0) > 1e-12:
+                raise ValueError("custom covariance must have unit diagonal")
+            if np.linalg.eigvalsh(m).min() < PSD_TOLERANCE:
+                raise ValueError("custom covariance has an eigenvalue below -1e-10; not PSD")
             # nested tuples so the spec stays hashable and comparable
             object.__setattr__(
                 self, "matrix",
@@ -76,7 +88,7 @@ class CorrelationSpec:
 
     @classmethod
     def exponential(cls, mode: str, rho: float, length: int) -> "CorrelationSpec":
-        return cls(mode=mode, rho=float(rho), length=int(length))
+        return cls(mode=mode, rho=float(rho), length=length)
 
     @classmethod
     def custom(cls, mode: str, matrix: np.ndarray) -> "CorrelationSpec":
@@ -110,8 +122,8 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
 def build_covariance(spec: CorrelationSpec) -> np.ndarray:
     """Covariance matrix of the correlated RB dimension.
 
-    The exponential model yields ``rho ** |a - b|``.  A custom matrix is
-    validated: Hermitian, unit diagonal, and no eigenvalue below -1e-10.
+    The exponential model yields ``rho ** |a - b|``; a custom model yields
+    its matrix, which the spec validated when it was built.
     """
     if spec.mode == "none":
         return np.eye(1)
@@ -122,13 +134,6 @@ def build_covariance(spec: CorrelationSpec) -> np.ndarray:
             sigma = np.where(lags == 0, 1.0, float(spec.rho) ** lags)
         return sigma
     m = np.asarray(spec.matrix)
-    if not np.allclose(m, m.conj().T, rtol=0.0, atol=1e-12):
-        raise ValueError("custom covariance must be Hermitian")
-    if not np.allclose(np.diag(m).real, 1.0, rtol=0.0, atol=1e-12) or \
-            np.abs(np.diag(m).imag).max(initial=0.0) > 1e-12:
-        raise ValueError("custom covariance must have unit diagonal")
-    if np.linalg.eigvalsh(m).min() < PSD_TOLERANCE:
-        raise ValueError("custom covariance has an eigenvalue below -1e-10; not PSD")
     return np.array(m, dtype=complex if np.iscomplexobj(m) else float)
 
 
@@ -161,13 +166,14 @@ def cholesky_psd(sigma: np.ndarray) -> np.ndarray:
     return lower
 
 
-def _validate_length(spec: CorrelationSpec, grid: ResourceGrid):
+def check_length(spec: CorrelationSpec, grid: ResourceGrid):
+    """Raise ConfigError unless ``spec.length`` equals the correlated grid size."""
     if spec.mode == "time" and spec.length != grid.t_max:
-        raise ValueError(f"correlation length {spec.length} does not match "
-                         f"t_max {grid.t_max}")
+        raise ConfigError(f"correlation length {spec.length} does not match "
+                          f"t_max {grid.t_max}")
     if spec.mode == "frequency" and spec.length != grid.f_max:
-        raise ValueError(f"correlation length {spec.length} does not match "
-                         f"f_max {grid.f_max}")
+        raise ConfigError(f"correlation length {spec.length} does not match "
+                          f"f_max {grid.f_max}")
 
 
 def sample_q_block(spec: CorrelationSpec, grid: ResourceGrid, n_links: int,
@@ -181,7 +187,7 @@ def sample_q_block(spec: CorrelationSpec, grid: ResourceGrid, n_links: int,
     several links into one call changes only how the uniform stream is
     chunked, not the distribution.
     """
-    _validate_length(spec, grid)
+    check_length(spec, grid)
     z = complex_normal(rng, (n_links, grid.t_max, grid.f_max))
     if spec.mode == "none":
         return z

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from blockfade import (ArrayGeometry, ClusterSpec, ResourceGrid, SpatialPair,
-                       UserSpec, build_spatial_pair, phase_ramp, spread_to_std,
-                       substream)
+                       UserSpec, build_spatial_pair, phase_ramp)
 
 QUARTER = ArrayGeometry(n_antennas=4, spacing_ratio=0.25)
 
@@ -55,24 +54,30 @@ class TestPhaseRamp:
             phase_ramp(np.inf, QUARTER)
 
 
+def spread_std(beta, s):
+    """Spatial standard deviation r of a one-antenna cluster of power beta, spread s."""
+    cluster = ClusterSpec(direction=0.0, spread_fraction=s, mean_power=beta)
+    return build_spatial_pair(cluster, ArrayGeometry(1)).r[0]
+
+
 class TestSpreadToStd:
     def test_endpoints(self):
-        assert spread_to_std(1.0, 1.0) == 1.0
-        assert spread_to_std(1.0, 0.0) == 0.0
+        assert spread_std(1.0, 1.0) == 1.0
+        assert spread_std(1.0, 0.0) == 0.0
 
     def test_mid_value_closes_power_budget(self):
-        r = spread_to_std(0.64, 0.5)
+        r = spread_std(0.64, 0.5)
         assert np.isclose(r, 0.4, atol=1e-15)
         assert np.isclose(0.64 - r ** 2, 0.48, atol=1e-15)
 
     def test_monotone_in_spread(self):
-        values = [spread_to_std(2.5, s) for s in np.linspace(0, 1, 21)]
+        values = [spread_std(2.5, s) for s in np.linspace(0, 1, 21)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize("beta,s", [(1.0, -0.1), (1.0, 1.5), (0.0, 0.5), (-2.0, 0.5)])
     def test_rejects_out_of_range(self, beta, s):
         with pytest.raises(ValueError):
-            spread_to_std(beta, s)
+            ClusterSpec(direction=0.0, spread_fraction=s, mean_power=beta)
 
 
 class TestBuildSpatialPair:
@@ -113,15 +118,10 @@ class TestBuildSpatialPair:
             ClusterSpec(direction=0.4, spread_fraction=0.3, mean_power=beta), QUARTER)
         assert np.allclose(pair.power, beta, rtol=1e-13)
 
-    def test_random_direction_uses_stream(self):
+    def test_random_direction_needs_a_draw(self):
         cluster = ClusterSpec(direction="random", spread_fraction=0.2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="random"):
             build_spatial_pair(cluster, QUARTER)
-        pair1 = build_spatial_pair(cluster, QUARTER, direction_rng=substream(5, 0))
-        pair2 = build_spatial_pair(cluster, QUARTER, direction_rng=substream(5, 0))
-        pair3 = build_spatial_pair(cluster, QUARTER, direction_rng=substream(5, 1))
-        assert np.array_equal(pair1.p, pair2.p)
-        assert not np.array_equal(pair1.p, pair3.p)
 
     def test_phase_offset_preserves_power_and_slope(self):
         cluster = ClusterSpec(direction=0.9, spread_fraction=0.4, mean_power=2.0)
@@ -137,6 +137,8 @@ class TestSpecValidation:
             ArrayGeometry(0)
         with pytest.raises(ValueError):
             ArrayGeometry(4, -0.25)
+        with pytest.raises(ValueError, match="n_antennas"):
+            ArrayGeometry(n_antennas=True)
 
     def test_cluster(self):
         with pytest.raises(ValueError):
@@ -153,6 +155,8 @@ class TestSpecValidation:
             UserSpec(clusters=())
         with pytest.raises(ValueError):
             ResourceGrid(t_max=0)
+        with pytest.raises(ValueError, match="t_max"):
+            ResourceGrid(t_max=True)
         user = UserSpec(clusters=(ClusterSpec(direction=0.1, spread_fraction=0.2,
                                               mean_power=0.6),
                                   ClusterSpec(direction=0.2, spread_fraction=0.3,

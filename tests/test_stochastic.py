@@ -21,15 +21,15 @@ class TestBuildCovariance:
     def test_custom_not_psd_rejected(self):
         # eigenvalues {3, -1}
         with pytest.raises(ValueError, match="eigenvalue"):
-            build_covariance(CorrelationSpec.custom("time", np.array([[1., 2.], [2., 1.]])))
+            CorrelationSpec.custom("time", np.array([[1., 2.], [2., 1.]]))
 
     def test_custom_not_hermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            build_covariance(CorrelationSpec.custom("time", np.array([[1., .5], [.2, 1.]])))
+            CorrelationSpec.custom("time", np.array([[1., .5], [.2, 1.]]))
 
     def test_custom_bad_diagonal_rejected(self):
         with pytest.raises(ValueError, match="diagonal"):
-            build_covariance(CorrelationSpec.custom("time", np.array([[2., 0.], [0., 2.]])))
+            CorrelationSpec.custom("time", np.array([[2., 0.], [0., 2.]]))
 
     def test_custom_valid_round_trips(self):
         m = np.array([[1.0, 0.3], [0.3, 1.0]])
@@ -44,6 +44,8 @@ class TestBuildCovariance:
             CorrelationSpec(mode="time", rho=0.5, matrix=((1.0,),), length=1)
         with pytest.raises(ValueError):
             CorrelationSpec(mode="none", rho=0.5)
+        with pytest.raises(ValueError, match="length"):
+            CorrelationSpec.exponential("time", 0.5, 2.5)
 
 
 class TestCholesky:
