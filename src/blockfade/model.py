@@ -15,6 +15,7 @@ direction: a "random" cluster is given one per realization by the caller
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -28,6 +29,12 @@ TWO_PI = 2.0 * np.pi
 def is_int(value) -> bool:
     """True for integers; bools and integral floats are not integers here."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_finite_real(value) -> bool:
+    """True for finite ints and floats; bools, strings, complex, NaN and inf are not."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and \
+        not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -46,8 +53,9 @@ class ArrayGeometry:
     def __post_init__(self):
         if not (is_int(self.n_antennas) and self.n_antennas >= 1):
             raise ValueError(f"n_antennas must be a positive integer, got {self.n_antennas!r}")
-        if not (np.isfinite(self.spacing_ratio) and self.spacing_ratio > 0):
-            raise ValueError(f"spacing_ratio must be > 0, got {self.spacing_ratio!r}")
+        if not (is_finite_real(self.spacing_ratio) and self.spacing_ratio > 0):
+            raise ValueError(f"spacing_ratio must be a finite real number > 0, "
+                             f"got {self.spacing_ratio!r}")
 
 
 @dataclass(frozen=True)
@@ -74,20 +82,22 @@ class ClusterSpec:
             if self.direction != RANDOM_DIRECTION:
                 raise ValueError(f"direction must be an angle or {RANDOM_DIRECTION!r}, "
                                  f"got {self.direction!r}")
+        elif is_finite_real(self.direction) and 0.0 <= self.direction < np.pi:
+            object.__setattr__(self, "direction", float(self.direction))
         else:
-            d = float(self.direction)
-            if not (np.isfinite(d) and 0.0 <= d < np.pi):
-                raise ValueError(f"fixed direction must lie in [0, pi), got {d!r}")
-            object.__setattr__(self, "direction", d)
-        s = float(self.spread_fraction)
-        if not (np.isfinite(s) and 0.0 <= s <= 1.0):
-            raise ValueError(f"spread_fraction must lie in [0, 1], got {self.spread_fraction!r}")
-        object.__setattr__(self, "spread_fraction", s)
-        power = np.atleast_1d(np.asarray(self.mean_power, dtype=float))
+            raise ValueError(f"fixed direction must be a real number in [0, pi), "
+                             f"got {self.direction!r}")
+        s = self.spread_fraction
+        if not (is_finite_real(s) and 0.0 <= s <= 1.0):
+            raise ValueError(f"spread_fraction must be a real number in [0, 1], got {s!r}")
+        object.__setattr__(self, "spread_fraction", float(s))
+        power = np.asarray(self.mean_power, dtype=object)
+        if not all(is_finite_real(x) and x > 0 for x in power.flat):
+            raise ValueError(f"mean_power must hold positive finite real numbers, "
+                             f"got {self.mean_power!r}")
+        power = np.atleast_1d(power.astype(float))
         if power.ndim != 1 or power.size < 1:
             raise ValueError("mean_power must be a scalar or a 1-D vector")
-        if not (np.isfinite(power).all() and (power > 0).all()):
-            raise ValueError("all mean powers must be positive and finite")
         # scalars stay floats and vectors become tuples so specs hash and compare
         if np.ndim(self.mean_power) == 0:
             object.__setattr__(self, "mean_power", float(power[0]))

@@ -13,9 +13,9 @@ counter-based (Philox) stream, so a seed plus a stream path fully
 determines every value.
 
 ``CorrelationSpec`` validates its fields at construction, a custom matrix
-included (Hermitian, unit diagonal, PSD), so ``build_covariance`` only
-builds the matrix.  ``check_length`` is the one check that a spec fits a
-resource grid.
+included (real, square, symmetric, unit diagonal, PSD), so
+``build_covariance`` only builds the matrix.  ``check_length`` is the one
+check that a spec fits a resource grid.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .model import ResourceGrid, is_int
+from .model import ResourceGrid, is_finite_real, is_int
 
 MODES = ("time", "frequency", "none")
 
@@ -40,8 +40,8 @@ class CorrelationSpec:
 
     mode selects which dimension carries correlation ("time", "frequency",
     or "none").  The model is either the exponential family
-    ``Sigma[a, b] = rho ** |a - b|`` or a user-supplied Hermitian PSD matrix
-    with unit diagonal.
+    ``Sigma[a, b] = rho ** |a - b|`` or a user-supplied real, square,
+    symmetric PSD matrix with unit diagonal.
     """
 
     mode: str
@@ -61,26 +61,29 @@ class CorrelationSpec:
         if (self.rho is None) == (self.matrix is None):
             raise ValueError("exactly one of rho / matrix must be given")
         if self.rho is not None:
-            if not (0.0 <= float(self.rho) < 1.0):
-                raise ValueError(f"exponential rho must lie in [0, 1), got {self.rho!r}")
+            if not (is_finite_real(self.rho) and 0.0 <= self.rho < 1.0):
+                raise ValueError(f"exponential rho must be a real number in [0, 1), "
+                                 f"got {self.rho!r}")
             object.__setattr__(self, "rho", float(self.rho))
         if self.matrix is not None:
-            m = np.asarray(self.matrix)
+            m = np.asarray(self.matrix, dtype=object)
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise ValueError(f"custom matrix must be a square 2-D array, "
+                                 f"got shape {m.shape}")
             if m.shape != (self.length, self.length):
                 raise ValueError(f"custom matrix must be {self.length}x{self.length}, "
                                  f"got {m.shape}")
-            if not np.allclose(m, m.conj().T, rtol=0.0, atol=1e-12):
+            if not all(is_finite_real(x) for x in m.flat):
+                raise ValueError("custom matrix must hold finite real numbers")
+            m = m.astype(float)
+            if not np.allclose(m, m.T, rtol=0.0, atol=1e-12):
                 raise ValueError("custom covariance must be Hermitian")
-            if not np.allclose(np.diag(m).real, 1.0, rtol=0.0, atol=1e-12) or \
-                    np.abs(np.diag(m).imag).max(initial=0.0) > 1e-12:
+            if not np.allclose(np.diag(m), 1.0, rtol=0.0, atol=1e-12):
                 raise ValueError("custom covariance must have unit diagonal")
             if np.linalg.eigvalsh(m).min() < PSD_TOLERANCE:
                 raise ValueError("custom covariance has an eigenvalue below -1e-10; not PSD")
             # nested tuples so the spec stays hashable and comparable
-            object.__setattr__(
-                self, "matrix",
-                tuple(tuple(complex(x) if np.iscomplexobj(m) else float(x) for x in row)
-                      for row in m))
+            object.__setattr__(self, "matrix", tuple(map(tuple, m.tolist())))
 
     @classmethod
     def none(cls) -> "CorrelationSpec":
@@ -88,12 +91,13 @@ class CorrelationSpec:
 
     @classmethod
     def exponential(cls, mode: str, rho: float, length: int) -> "CorrelationSpec":
-        return cls(mode=mode, rho=float(rho), length=length)
+        return cls(mode=mode, rho=rho, length=length)
 
     @classmethod
     def custom(cls, mode: str, matrix: np.ndarray) -> "CorrelationSpec":
-        matrix = np.asarray(matrix)
-        return cls(mode=mode, matrix=matrix, length=matrix.shape[0])
+        matrix = np.asarray(matrix, dtype=object)
+        # a scalar gets length 1, so the square-matrix check is the one that names it
+        return cls(mode=mode, matrix=matrix, length=matrix.shape[0] if matrix.ndim else 1)
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -133,8 +137,7 @@ def build_covariance(spec: CorrelationSpec) -> np.ndarray:
         with np.errstate(all="ignore"):
             sigma = np.where(lags == 0, 1.0, float(spec.rho) ** lags)
         return sigma
-    m = np.asarray(spec.matrix)
-    return np.array(m, dtype=complex if np.iscomplexobj(m) else float)
+    return np.array(spec.matrix, dtype=float)
 
 
 def cholesky_psd(sigma: np.ndarray) -> np.ndarray:

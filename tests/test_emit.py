@@ -148,6 +148,7 @@ class TestCli:
         ("mean_power", [0.5, 1.5]),   # vector length 2 on a 4-antenna array
         ("bins", 2.5),
         ("realizations", True),
+        ("correlation", {"mode": "time", "model": "custom", "matrix": 5}),  # scalar matrix
     ])
     def test_document_that_validates_also_simulates(self, key, value, tmp_path, capsys):
         doc = {"seed": 3, "geometry": {"n_antennas": 4},

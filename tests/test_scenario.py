@@ -101,6 +101,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=field[-1]):
             parse_config(json.dumps(doc))
 
+    @pytest.mark.parametrize("field, value", [
+        ("spread_fraction", True), ("direction", False), ("mean_power", "2"),
+        ("mean_power", [1.0, True, 1.0, 1.0]), ("spacing_ratio", True),
+        ("rho", False), ("rho", "0.5"), ("matrix", [["1"]])])
+    def test_real_fields_reject_bools_and_strings(self, field, value):
+        doc = _doc()
+        if field == "spacing_ratio":
+            doc["geometry"][field] = value
+        elif field == "rho":
+            doc.update(grid={"t_max": 2}, correlation={"mode": "time", "rho": value,
+                                                       "length": 2})
+        elif field == "matrix":
+            doc["correlation"] = {"mode": "time", "model": "custom", "matrix": value}
+        else:
+            doc["users"][0]["clusters"][0][field] = value
+        with pytest.raises(ConfigError, match=field):
+            parse_config(json.dumps(doc))
+
     def test_correlation_outputs_need_two_users(self):
         with pytest.raises(ConfigError, match="two users"):
             parse_config(json.dumps(_doc(outputs=["correlation-matrix"])))

@@ -31,6 +31,13 @@ class TestBuildCovariance:
         with pytest.raises(ValueError, match="diagonal"):
             CorrelationSpec.custom("time", np.array([[2., 0.], [0., 2.]]))
 
+    @pytest.mark.parametrize("matrix, message", [
+        (5.0, "square"), ([1.0, 0.0], "square"), ([[1.0, 0.5]], "square"),
+        ([[1.0, 0.5j], [-0.5j, 1.0]], "real"), ([[1.0, np.nan], [np.nan, 1.0]], "real")])
+    def test_custom_must_be_real_and_square(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            CorrelationSpec.custom("time", matrix)
+
     def test_custom_valid_round_trips(self):
         m = np.array([[1.0, 0.3], [0.3, 1.0]])
         assert np.allclose(build_covariance(CorrelationSpec.custom("frequency", m)), m)
