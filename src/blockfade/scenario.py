@@ -29,6 +29,13 @@ ARTIFACT_NAMES = ("histogram", "cross-correlation", "eigencdf",
 DEFAULT_BINS = 64
 DEFAULT_PRESET_SEED = 1000003
 
+# Largest array a run builds, in entries: the (t_max, f_max, N, K) channel
+# tensor of one realization (2**24 complex entries are 256 MiB) and the
+# length x length RB covariance.  A larger scenario is a ConfigError at
+# validation, not a failed allocation at run time; every preset, benchmark
+# workload and README example stays far below it.
+MAX_ARRAY_ENTRIES = 2 ** 24
+
 # Frozen validation geometry: stratified principal user directions plus
 # per-cluster offsets that scale with the cluster's angular spread, so the
 # LOS and NLOS variants of one scenario share the same underlying draw and
@@ -88,6 +95,15 @@ class ScenarioConfig:
             raise ConfigError(f"bins must be a positive integer, got {self.bins!r}")
         check_length(self.correlation, self.grid)
         n = self.geometry.n_antennas
+        entries = self.grid.t_max * self.grid.f_max * n * len(users)
+        if entries > MAX_ARRAY_ENTRIES:
+            raise ConfigError(f"scenario too large: the channel tensor t_max*f_max*"
+                              f"n_antennas*users has {entries} entries, limit "
+                              f"{MAX_ARRAY_ENTRIES}")
+        if self.correlation.length ** 2 > MAX_ARRAY_ENTRIES:
+            raise ConfigError(f"scenario too large: correlation length "
+                              f"{self.correlation.length} gives a covariance of more "
+                              f"than {MAX_ARRAY_ENTRIES} entries")
         for j, user in enumerate(users):
             for c, cluster in enumerate(user.clusters):
                 if np.size(cluster.mean_power) not in (1, n):
@@ -225,6 +241,8 @@ def parse_config(text: str) -> ScenarioConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"syntax error at line {exc.lineno}, column {exc.colno}: "
                           f"{exc.msg}") from exc
+    except RecursionError as exc:
+        raise ConfigError("document is nested too deeply") from exc
     return config_from_dict(doc)
 
 

@@ -16,11 +16,16 @@ determines every value.
 included (real, square, symmetric, unit diagonal, PSD), so
 ``build_covariance`` only builds the matrix.  ``check_length`` is the one
 check that a spec fits a resource grid.
+
+The Cholesky factor of a covariance is built once per spec, on first use
+(``CorrelationSpec.lower``), and the correlation itself is one batched
+BLAS ``matmul`` per call of ``sample_q_block``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -98,6 +103,17 @@ class CorrelationSpec:
         matrix = np.asarray(matrix, dtype=object)
         # a scalar gets length 1, so the square-matrix check is the one that names it
         return cls(mode=mode, matrix=matrix, length=matrix.shape[0] if matrix.ndim else 1)
+
+    @cached_property
+    def lower(self) -> np.ndarray:
+        """Read-only Cholesky factor of the covariance, built on first use.
+
+        The spec is frozen, so the factor is computed once per spec and
+        shared by every ``sample_q_block`` call and thread that uses it.
+        """
+        lower = cholesky_psd(build_covariance(self))
+        lower.flags.writeable = False
+        return lower
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -189,12 +205,14 @@ def sample_q_block(spec: CorrelationSpec, grid: ResourceGrid, n_links: int,
     independent.  mode "none": all entries i.i.d. CN(0, 1).  Stacking
     several links into one call changes only how the uniform stream is
     chunked, not the distribution.
+
+    The correlation is one batched BLAS product with the spec's cached
+    factor ``L``: ``L @ z`` along time, ``z @ L.T`` along frequency.
     """
     check_length(spec, grid)
     z = complex_normal(rng, (n_links, grid.t_max, grid.f_max))
     if spec.mode == "none":
         return z
-    lower = cholesky_psd(build_covariance(spec))
     if spec.mode == "time":
-        return np.einsum("ab,nbf->naf", lower, z)
-    return np.einsum("ntb,ab->nta", z, lower)
+        return spec.lower @ z
+    return z @ spec.lower.T

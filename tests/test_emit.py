@@ -166,6 +166,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("config error") == 2 and key in err
 
+    @pytest.mark.parametrize("content, message", [
+        (json.dumps({"seed": 3, "geometry": {"n_antennas": 10 ** 20},
+                     "users": [{"clusters": [{"direction": 0.1, "spread_fraction": 0.5}]}],
+                     "realizations": 1}).encode(), "too large"),
+        (b"\xff\xfe{}", "not UTF-8"),
+        (b"[" * 100000 + b"]" * 100000, "nested too deeply"),
+    ], ids=["oversized", "not-utf8", "deeply-nested"])
+    def test_unreadable_or_oversized_document_exits_2(self, content, message, tmp_path,
+                                                      capsys, monkeypatch):
+        import blockfade.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("a rejected document must not run")
+        monkeypatch.setattr(cli, "run_scenario", never)
+        path = tmp_path / "c.json"
+        path.write_bytes(content)
+        assert main(["validate", str(path)]) == 2
+        assert main(["simulate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error") == 2 and err.count(message) == 2
+
     @pytest.mark.parametrize("option, value", [
         ("--seed", "-1"), ("--seed", str(2 ** 64)), ("--threads", "0")])
     def test_bad_cli_values_exit_2(self, option, value, capsys):

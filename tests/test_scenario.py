@@ -1,6 +1,5 @@
 """Tests for configuration parsing, presets, and the scenario runner."""
 
-import collections
 import json
 from dataclasses import replace
 
@@ -9,7 +8,7 @@ import pytest
 
 from blockfade import (ConfigError, ScenarioConfig, expand_preset, parse_config,
                        run_scenario)
-from blockfade.scenario import PRESET_NAMES, config_to_dict
+from blockfade.scenario import MAX_ARRAY_ENTRIES, PRESET_NAMES, config_to_dict
 
 MINIMAL = {
     "seed": 7,
@@ -122,6 +121,26 @@ class TestParseConfig:
     def test_correlation_outputs_need_two_users(self):
         with pytest.raises(ConfigError, match="two users"):
             parse_config(json.dumps(_doc(outputs=["correlation-matrix"])))
+
+    @pytest.mark.parametrize("n_antennas, users, t_max, length, ok", [
+        (2 ** 9, 2, 2 ** 14, None, True),            # channel tensor at the limit
+        (2 ** 9, 3, 2 ** 14, None, False),
+        (4, 1, 2 ** 12, 2 ** 12, True),              # covariance at the limit
+        (4, 1, 2 ** 12 + 1, 2 ** 12 + 1, False),
+    ])
+    def test_size_limit(self, n_antennas, users, t_max, length, ok):
+        # parsing builds no array, so the limit is checked without allocating
+        doc = _doc(geometry={"n_antennas": n_antennas}, grid={"t_max": t_max})
+        doc["users"] *= users
+        if length is not None:
+            doc["correlation"] = {"mode": "time", "model": "exponential", "rho": 0.5,
+                                  "length": length}
+        assert MAX_ARRAY_ENTRIES == 2 ** 24
+        if ok:
+            parse_config(json.dumps(doc))
+        else:
+            with pytest.raises(ConfigError, match="too large"):
+                parse_config(json.dumps(doc))
 
 
 class TestRoundTrip:
@@ -242,17 +261,8 @@ class TestRunScenario:
         bundle = run_scenario(parse_config(json.dumps(doc)))
         assert bundle.artifacts["histogram"].total == 5 * 16 * 4
 
-    def test_statistics_run_once_per_realization(self, monkeypatch):
+    def test_statistics_run_once_per_realization(self, counting):
         from blockfade import analytics, scenario
-        calls = collections.Counter()
-
-        def counting(module, name):
-            original = getattr(module, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-            monkeypatch.setattr(module, name, wrapper)
         counting(scenario, "assemble_channel")
         for name in ("gram", "eigenvalues_hermitian", "pairwise_correlation"):
             counting(analytics, name)
@@ -260,8 +270,8 @@ class TestRunScenario:
                    outputs=list(scenario.ARTIFACT_NAMES))
         doc["users"] *= 2
         run_scenario(parse_config(json.dumps(doc)))
-        assert calls == {"assemble_channel": 3, "gram": 3, "eigenvalues_hermitian": 3,
-                         "pairwise_correlation": 3}
+        assert counting.calls == {"assemble_channel": 3, "gram": 3,
+                                  "eigenvalues_hermitian": 3, "pairwise_correlation": 3}
 
     def test_threads_validation(self):
         with pytest.raises(ValueError):

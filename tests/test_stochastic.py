@@ -1,5 +1,7 @@
 """Tests for covariance construction, factorization, and grid sampling."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,39 @@ class TestSampleQBlock:
         sample_cov = q.T.conj() @ q / q.shape[0]
         target = build_covariance(spec)
         assert np.abs(sample_cov.T - target).max() <= 0.05
+
+    @pytest.mark.parametrize("spec, grid", [
+        (CorrelationSpec.exponential("time", 0.9, 5), ResourceGrid(t_max=5, f_max=3)),
+        (CorrelationSpec.exponential("frequency", 0.6, 4), ResourceGrid(t_max=3, f_max=4)),
+        (CorrelationSpec.custom("time", [[1.0, 0.5, 0.2], [0.5, 1.0, 0.5], [0.2, 0.5, 1.0]]),
+         ResourceGrid(t_max=3, f_max=2)),
+        (CorrelationSpec.custom("frequency", [[1.0, 0.3], [0.3, 1.0]]),
+         ResourceGrid(t_max=4, f_max=2)),
+    ], ids=["time", "frequency", "custom-time", "custom-frequency"])
+    def test_matches_einsum_oracle(self, spec, grid):
+        q = sample_q_block(spec, grid, 7, substream(41, 2))
+        # the same substream gives the same draws; the product is the explicit sum
+        z = complex_normal(substream(41, 2), (7, grid.t_max, grid.f_max))
+        lower = cholesky_psd(build_covariance(spec))
+        if spec.mode == "time":
+            expected = np.einsum("ab,nbf->naf", lower, z)
+        else:
+            expected = np.einsum("ntb,ab->nta", z, lower)
+        np.testing.assert_allclose(q, expected, rtol=1e-13)
+        assert np.array_equal(spec.lower, lower)
+        assert not spec.lower.flags.writeable
+
+    def test_factor_built_once_per_run(self, counting):
+        from blockfade import parse_config, run_scenario, stochastic
+        counting(stochastic, "cholesky_psd")
+        cluster = {"direction": 0.3, "spread_fraction": 0.5}
+        doc = {"seed": 5, "geometry": {"n_antennas": 4},
+               "users": [{"clusters": [cluster, cluster]}] * 2,
+               "grid": {"t_max": 3, "f_max": 2}, "realizations": 4,
+               "correlation": {"mode": "time", "model": "exponential", "rho": 0.7,
+                               "length": 3}}
+        run_scenario(parse_config(json.dumps(doc)))
+        assert counting.calls == {"cholesky_psd": 1}
 
     def test_length_mismatch_rejected(self):
         spec = CorrelationSpec.exponential("time", 0.5, 8)
