@@ -30,10 +30,11 @@ DEFAULT_BINS = 64
 DEFAULT_PRESET_SEED = 1000003
 
 # Largest array a run builds, in entries: the (t_max, f_max, N, K) channel
-# tensor of one realization (2**24 complex entries are 256 MiB) and the
-# length x length RB covariance.  A larger scenario is a ConfigError at
-# validation, not a failed allocation at run time; every preset, benchmark
-# workload and README example stays far below it.
+# tensor of one realization (2**24 complex entries are 256 MiB), the
+# length x length RB covariance and the bins x bins coefficient histogram.
+# A larger scenario is a ConfigError at validation, not a failed allocation
+# at run time; every preset, benchmark workload and README example stays
+# far below it.
 MAX_ARRAY_ENTRIES = 2 ** 24
 
 # Frozen validation geometry: stratified principal user directions plus
@@ -95,15 +96,14 @@ class ScenarioConfig:
             raise ConfigError(f"bins must be a positive integer, got {self.bins!r}")
         check_length(self.correlation, self.grid)
         n = self.geometry.n_antennas
-        entries = self.grid.t_max * self.grid.f_max * n * len(users)
-        if entries > MAX_ARRAY_ENTRIES:
-            raise ConfigError(f"scenario too large: the channel tensor t_max*f_max*"
-                              f"n_antennas*users has {entries} entries, limit "
-                              f"{MAX_ARRAY_ENTRIES}")
-        if self.correlation.length ** 2 > MAX_ARRAY_ENTRIES:
-            raise ConfigError(f"scenario too large: correlation length "
-                              f"{self.correlation.length} gives a covariance of more "
-                              f"than {MAX_ARRAY_ENTRIES} entries")
+        sizes = {"channel tensor t_max*f_max*n_antennas*users":
+                 self.grid.t_max * self.grid.f_max * n * len(users),
+                 "covariance length**2": self.correlation.length ** 2,
+                 "histogram bins**2": self.bins ** 2}
+        for array, entries in sizes.items():
+            if entries > MAX_ARRAY_ENTRIES:
+                raise ConfigError(f"scenario too large: the {array} has {entries} "
+                                  f"entries, limit {MAX_ARRAY_ENTRIES}")
         for j, user in enumerate(users):
             for c, cluster in enumerate(user.clusters):
                 if np.size(cluster.mean_power) not in (1, n):

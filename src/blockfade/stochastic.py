@@ -108,8 +108,9 @@ class CorrelationSpec:
     def lower(self) -> np.ndarray:
         """Read-only Cholesky factor of the covariance, built on first use.
 
-        The spec is frozen, so the factor is computed once per spec and
-        shared by every ``sample_q_block`` call and thread that uses it.
+        The spec is frozen, so the factor depends on nothing else: it is
+        kept on the instance and shared by every ``sample_q_block`` call
+        and thread that uses the spec.
         """
         lower = cholesky_psd(build_covariance(self))
         lower.flags.writeable = False

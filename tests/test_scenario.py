@@ -122,15 +122,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="two users"):
             parse_config(json.dumps(_doc(outputs=["correlation-matrix"])))
 
-    @pytest.mark.parametrize("n_antennas, users, t_max, length, ok", [
-        (2 ** 9, 2, 2 ** 14, None, True),            # channel tensor at the limit
-        (2 ** 9, 3, 2 ** 14, None, False),
-        (4, 1, 2 ** 12, 2 ** 12, True),              # covariance at the limit
-        (4, 1, 2 ** 12 + 1, 2 ** 12 + 1, False),
+    @pytest.mark.parametrize("n_antennas, users, t_max, length, bins, ok", [
+        (2 ** 9, 2, 2 ** 14, None, 64, True),           # channel tensor at the limit
+        (2 ** 9, 3, 2 ** 14, None, 64, False),
+        (4, 1, 2 ** 12, 2 ** 12, 64, True),             # covariance at the limit
+        (4, 1, 2 ** 12 + 1, 2 ** 12 + 1, 64, False),
+        (4, 1, 1, None, 2 ** 12, True),                 # histogram at the limit
+        (4, 1, 1, None, 2 ** 12 + 1, False),
     ])
-    def test_size_limit(self, n_antennas, users, t_max, length, ok):
+    def test_size_limit(self, n_antennas, users, t_max, length, bins, ok):
         # parsing builds no array, so the limit is checked without allocating
-        doc = _doc(geometry={"n_antennas": n_antennas}, grid={"t_max": t_max})
+        doc = _doc(geometry={"n_antennas": n_antennas}, grid={"t_max": t_max}, bins=bins)
         doc["users"] *= users
         if length is not None:
             doc["correlation"] = {"mode": "time", "model": "exponential", "rho": 0.5,
