@@ -17,8 +17,7 @@ from .assembly import (ChannelBlock, UplinkFrame, assemble_channel, qpsk_symbols
                        synthesize_uplink)
 from .errors import ConfigError, NumericalError
 from .model import (RANDOM_DIRECTION, ArrayGeometry, ClusterSpec, ResourceGrid,
-                    SpatialPair, UserSpec, build_spatial_pair, draw_direction,
-                    phase_ramp)
+                    SpatialPair, UserSpec, build_spatial_pair, phase_ramp)
 from .scenario import (ReportBundle, ScenarioConfig, expand_preset, parse_config,
                        run_scenario)
 from .stochastic import (CorrelationSpec, build_covariance, cholesky_psd,
@@ -30,7 +29,7 @@ __all__ = [
     "RANDOM_DIRECTION", "ReportBundle", "ResourceGrid", "ScenarioConfig",
     "SpatialPair", "UplinkFrame", "UserCorrelationMatrix", "UserSpec",
     "assemble_channel", "build_covariance", "build_spatial_pair",
-    "cholesky_psd", "coefficient_histogram", "complex_normal", "draw_direction",
+    "cholesky_psd", "coefficient_histogram", "complex_normal",
     "eigenvalues_hermitian", "empirical_cdf", "expand_preset", "gram",
     "offdiag_exceedance", "parse_config", "phase_ramp", "power_profile",
     "qpsk_symbols", "run_scenario", "sample_q_block",

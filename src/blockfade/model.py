@@ -8,9 +8,12 @@ spread fraction: at spread 0 the link is fully deterministic, at spread 1
 it degenerates to i.i.d. Rayleigh fading.
 
 The spec types check their own fields once, at construction, so the
-numerics trust a constructed spec.  ``build_spatial_pair`` needs a fixed
-direction: a "random" cluster is given one per realization by the caller
-(``draw_direction``, then ``dataclasses.replace``).
+numerics trust a constructed spec.  Direction and spread are fixed for a
+scenario, so ``link_table`` computes the amplitude, the Rician part and the
+phase ramp of every link once; per realization ``draw_means`` then draws
+the cluster phases and the "random" directions in one block of uniforms
+and forms every link's mean vector in one array operation.
+``build_spatial_pair`` is the one-link case of the same formulas.
 """
 
 from __future__ import annotations
@@ -186,36 +189,102 @@ class ResourceGrid:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
 
 
-def phase_ramp(theta: float, geometry: ArrayGeometry) -> np.ndarray:
-    """Deterministic antenna phases of a cluster at direction theta.
+def phase_ramps(theta, geometry: ArrayGeometry) -> np.ndarray:
+    """(len(theta), N) antenna phases of clusters at the directions theta.
 
     The phase at antenna i (1-based) is
     ``(2*pi * spacing_ratio * cos(theta) * (i - 1)) mod 2*pi``;
     at quarter-wavelength spacing the slope is (pi/2)*cos(theta).
+    """
+    slope = TWO_PI * geometry.spacing_ratio * np.cos(np.asarray(theta, dtype=float))
+    return np.mod(slope[:, None] * np.arange(geometry.n_antennas), TWO_PI)
+
+
+def phase_ramp(theta: float, geometry: ArrayGeometry) -> np.ndarray:
+    """Deterministic antenna phases of one cluster at direction theta
+    (see :func:`phase_ramps`).
 
     Any finite angle is accepted; the result lies in [0, 2*pi).
     """
     theta = float(theta)
     if not np.isfinite(theta):
         raise ValueError(f"direction must be finite, got {theta!r}")
-    slope = TWO_PI * geometry.spacing_ratio * np.cos(theta)
-    return np.mod(slope * np.arange(geometry.n_antennas), TWO_PI)
+    return phase_ramps([theta], geometry)[0]
 
 
-def draw_direction(rng: np.random.Generator) -> float:
-    """Draw a cluster direction uniformly on [0, pi)."""
-    return float(rng.uniform(0.0, np.pi))
+@dataclass(frozen=True)
+class LinkTable:
+    """Scenario constants of every (user, cluster) link, in (user, cluster)
+    order, shared read-only by all realizations.  ``direction_at`` and
+    ``phase_at`` index the uniforms of a realization's spatial draw, which
+    holds per link the direction of a "random" cluster and then the phase.
+    """
+
+    geometry: ArrayGeometry
+    amp: np.ndarray           # (L, N) |p|
+    r: np.ndarray             # (L, N) Rician part s * sqrt(beta)
+    ramp: np.ndarray          # (L, N) phase ramps; rows of random links are 0
+    user: tuple               # owning user of each link
+    random_links: np.ndarray  # links whose direction is drawn per realization
+    direction_at: np.ndarray  # their direction uniforms in the spatial draw
+    phase_at: np.ndarray      # (L,) phase uniform of each link
+
+
+def link_table(users, geometry: ArrayGeometry) -> LinkTable:
+    """Per-scenario link table of ``users`` (a sequence of UserSpec).
+
+    Per antenna: r_i = s * sqrt(beta_i) and |p_i| = sqrt(beta_i - r_i^2), so
+    the power budget |p_i|^2 + r_i^2 = beta_i closes for every spread.
+    """
+    clusters = [c for user in users for c in user.clusters]
+    beta = np.array([c.power_vector(geometry.n_antennas) for c in clusters])
+    r = np.array([c.spread_fraction for c in clusters])[:, None] * np.sqrt(beta)
+    amp = np.sqrt(np.maximum(beta - r ** 2, 0.0))
+    random = np.array([c.is_random_direction for c in clusters])
+    ramp = np.zeros_like(amp)
+    ramp[~random] = phase_ramps([c.direction for c in clusters
+                                 if not c.is_random_direction], geometry)
+    # a random link takes two uniforms (direction, phase), a fixed one its phase
+    phase_at = np.cumsum(random + 1) - 1
+    for array in (amp, r, ramp):
+        array.flags.writeable = False
+    return LinkTable(geometry=geometry, amp=amp, r=r, ramp=ramp,
+                     user=tuple(j for j, user in enumerate(users) for _ in user.clusters),
+                     random_links=np.flatnonzero(random), direction_at=phase_at[random] - 1,
+                     phase_at=phase_at)
+
+
+def link_means(table: LinkTable, phases, directions=()) -> np.ndarray:
+    """(L, N) spatial means ``p = |p| exp(1j * (ramp + phase))`` of every link.
+
+    ``phases`` holds each link's common phase offset, ``directions`` the
+    directions of the table's random links in their order.
+    """
+    ramp = table.ramp
+    if len(table.random_links):
+        ramp = ramp.copy()
+        ramp[table.random_links] = phase_ramps(directions, table.geometry)
+    return table.amp * np.exp(1j * (ramp + np.asarray(phases, dtype=float)[:, None]))
+
+
+def draw_means(table: LinkTable, rng: np.random.Generator) -> np.ndarray:
+    """Spatial means of one realization from one ``rng.random`` block.
+
+    Directions are ``pi * u`` and phases ``2*pi * u``, the same values as
+    ``rng.uniform(0, pi)`` and ``rng.uniform(0, 2*pi)`` drawn one by one.
+    """
+    u = rng.random(len(table.phase_at) + len(table.direction_at))
+    return link_means(table, TWO_PI * u[table.phase_at], np.pi * u[table.direction_at])
 
 
 def build_spatial_pair(cluster: ClusterSpec,
                        geometry: ArrayGeometry,
                        phase_offset: float = 0.0) -> SpatialPair:
-    """Build the (p, r) vectors of one cluster link.
+    """Build the (p, r) vectors of one cluster link: the one-link case of
+    :func:`link_table` and :func:`link_means`.
 
-    Per antenna: r_i = s * sqrt(beta_i), |p_i| = sqrt(beta_i - r_i^2) and
-    arg(p_i) follows the phase ramp of the cluster direction, so the power
-    budget |p_i|^2 + r_i^2 = beta_i closes for every spread.  The cluster
-    needs a fixed direction; a "random" cluster raises ValueError.
+    The cluster needs a fixed direction; a "random" cluster raises
+    ValueError.
 
     Args:
         cluster: cluster parameters with a fixed direction.
@@ -226,8 +295,5 @@ def build_spatial_pair(cluster: ClusterSpec,
     """
     if cluster.is_random_direction:
         raise ValueError("cluster direction is 'random'; draw a fixed direction first")
-    beta = cluster.power_vector(geometry.n_antennas)
-    r = cluster.spread_fraction * np.sqrt(beta)
-    amp = np.sqrt(np.maximum(beta - r ** 2, 0.0))
-    phases = phase_ramp(cluster.direction, geometry) + phase_offset
-    return SpatialPair(p=amp * np.exp(1j * phases), r=r)
+    table = link_table((UserSpec(clusters=(cluster,)),), geometry)
+    return SpatialPair(p=link_means(table, [phase_offset])[0], r=table.r[0])

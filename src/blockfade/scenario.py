@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import analytics
-from .assembly import assemble_channel
-from .errors import ConfigError
-from .model import (RANDOM_DIRECTION, ArrayGeometry, ClusterSpec, ResourceGrid,
-                    UserSpec, build_spatial_pair, draw_direction, is_int)
-from .stochastic import CorrelationSpec, check_length, sample_q_block, substream
+from .assembly import add_links
+from .errors import ConfigError, NumericalError
+from .model import (RANDOM_DIRECTION, ArrayGeometry, ClusterSpec, LinkTable, ResourceGrid,
+                    UserSpec, draw_means, is_int, link_table)
+from .stochastic import CorrelationSpec, check_length, sample_link_grids, substream
 
 ARTIFACT_NAMES = ("histogram", "cross-correlation", "eigencdf",
                   "power-profile", "correlation-matrix", "raw-channel")
@@ -31,11 +31,18 @@ DEFAULT_PRESET_SEED = 1000003
 
 # Largest array a run builds, in entries: the (t_max, f_max, N, K) channel
 # tensor of one realization (2**24 complex entries are 256 MiB), the
-# length x length RB covariance and the bins x bins coefficient histogram.
-# A larger scenario is a ConfigError at validation, not a failed allocation
-# at run time; every preset, benchmark workload and README example stays
-# far below it.
+# length x length RB covariance, the bins x bins coefficient histogram and
+# the channel entries of all realizations, which the histogram and
+# raw-channel outputs keep until the end of the run.  A larger scenario is
+# a ConfigError at validation, not a failed allocation at run time; every
+# preset, benchmark workload and README example stays far below it.
 MAX_ARRAY_ENTRIES = 2 ** 24
+
+# Uniforms per link-grid draw (512 KiB): a realization draws its link grids
+# max(1, DRAW_BLOCK_UNIFORMS // (2*N*t_max*f_max)) links at a time, so a
+# single-RB scenario draws all its links at once and a large RB grid one
+# link at a time, which bounds the working set.
+DRAW_BLOCK_UNIFORMS = 2 ** 16
 
 # Frozen validation geometry: stratified principal user directions plus
 # per-cluster offsets that scale with the cluster's angular spread, so the
@@ -96,10 +103,13 @@ class ScenarioConfig:
             raise ConfigError(f"bins must be a positive integer, got {self.bins!r}")
         check_length(self.correlation, self.grid)
         n = self.geometry.n_antennas
-        sizes = {"channel tensor t_max*f_max*n_antennas*users":
-                 self.grid.t_max * self.grid.f_max * n * len(users),
+        tensor = self.grid.t_max * self.grid.f_max * n * len(users)
+        sizes = {"channel tensor t_max*f_max*n_antennas*users": tensor,
                  "covariance length**2": self.correlation.length ** 2,
                  "histogram bins**2": self.bins ** 2}
+        if {"histogram", "raw-channel"} & set(self.outputs):
+            sizes["kept channel realizations*t_max*f_max*n_antennas*users"] = \
+                self.realizations * tensor
         for array, entries in sizes.items():
             if entries > MAX_ARRAY_ENTRIES:
                 raise ConfigError(f"scenario too large: the {array} has {entries} "
@@ -387,29 +397,29 @@ def expand_preset(name: str, seed: int = DEFAULT_PRESET_SEED) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # orchestration
 
-def _realize(config: ScenarioConfig, index: int, needs: set) -> dict:
+def _realize(config: ScenarioConfig, links: LinkTable, index: int, needs: set) -> dict:
     """Compute one realization's artifact contributions.
 
-    Draw order from substream(seed, index): per (user, cluster) in
-    lexicographic order, the direction (only for "random" clusters) and then
-    the cluster phase; afterwards per (user, cluster) the link grids.  This
-    order is the reproducibility contract.  Each statistic is taken once over
-    the (t_max, f_max, N, K) channel tensor, RBs in t-major order.
+    Draw order from substream(seed, index), the reproducibility contract:
+    first one spatial block of uniforms holding, per (user, cluster) in
+    lexicographic order, the direction (only for "random" clusters) and
+    then the cluster phase; afterwards per (user, cluster) the link grid, a
+    u1 block followed by a u2 block.  Consecutive links are drawn together
+    as one block of that same sequence and added to the channel tensor in
+    (user, cluster) order before the next block is drawn.  Each statistic
+    is taken once over the (t_max, f_max, N, K) channel tensor, RBs in
+    t-major order.
     """
     rng = substream(config.seed, index)
-    n = config.geometry.n_antennas
-    pairs = []
-    for user in config.users:
-        row = []
-        for cluster in user.clusters:
-            if cluster.is_random_direction:
-                cluster = replace(cluster, direction=draw_direction(rng))
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            row.append(build_spatial_pair(cluster, config.geometry, phase_offset=phase))
-        pairs.append(row)
-    # the grids are bound to no name, so they are freed once assembled
-    h = assemble_channel(pairs, [[sample_q_block(config.correlation, config.grid, n, rng)
-                                  for _ in user.clusters] for user in config.users])
+    n, grid = config.geometry.n_antennas, config.grid
+    p = draw_means(links, rng)
+    h = np.zeros((grid.t_max, grid.f_max, n, config.n_users), dtype=complex)
+    step = max(1, DRAW_BLOCK_UNIFORMS // (2 * n * grid.t_max * grid.f_max))
+    for a in range(0, len(p), step):
+        block = slice(a, a + step)
+        # the grids are bound to no name, so they are freed once added
+        add_links(h, links.user[block], p[block], links.r[block],
+                  sample_link_grids(config.correlation, grid, n, len(p[block]), rng))
 
     out = {}
     if "histogram" in needs:
@@ -431,6 +441,22 @@ def _realize(config: ScenarioConfig, index: int, needs: set) -> dict:
     return out
 
 
+def _require_finite(artifacts: dict):
+    """Raise NumericalError if an artifact holds nan or inf, as a reduction
+    over overflowing channel powers does."""
+    for name, payload in artifacts.items():
+        if name == "raw-channel":
+            arrays = [row[3] for row in payload]
+        elif isinstance(payload, dict):
+            arrays = payload.values()
+        elif isinstance(payload, np.ndarray):
+            arrays = [payload]
+        else:
+            arrays = vars(payload).values()
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise NumericalError(f"{name} is not finite: a channel power overflowed")
+
+
 def run_scenario(config: ScenarioConfig, out_dir=None, threads: int = 1) -> ReportBundle:
     """Run a scenario and compute its requested artifacts.
 
@@ -443,12 +469,13 @@ def run_scenario(config: ScenarioConfig, out_dir=None, threads: int = 1) -> Repo
     if not (is_int(threads) and threads >= 1):
         raise ConfigError(f"threads must be a positive integer, got {threads!r}")
     needs = set(config.outputs)
+    links = link_table(config.users, config.geometry)
     indices = range(config.realizations)
     if threads == 1:
-        results = [_realize(config, m, needs) for m in indices]
+        results = [_realize(config, links, m, needs) for m in indices]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda m: _realize(config, m, needs), indices))
+            results = list(pool.map(lambda m: _realize(config, links, m, needs), indices))
 
     artifacts = {}
     if "histogram" in needs:
@@ -471,6 +498,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None, threads: int = 1) -> Repo
             [r["xcorr"] for r in results])
     if "raw-channel" in needs:
         artifacts["raw-channel"] = [row for r in results for row in r["raw"]]
+    _require_finite(artifacts)
 
     bundle = ReportBundle(config=config, artifacts=artifacts)
     if out_dir is not None:

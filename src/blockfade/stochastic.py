@@ -10,7 +10,10 @@ delay spread.
 Sampling is reproducible across platforms: all Gaussians come from the
 fixed transform ``sqrt(-ln u1) * exp(2j*pi*u2)`` applied to uniforms from a
 counter-based (Philox) stream, so a seed plus a stream path fully
-determines every value.
+determines every value.  The stream order is part of that contract: a link
+grid takes a block of u1 values followed by a block of u2 values, and
+``link_normals`` draws several consecutive links as one
+``(n_links, 2, ...)`` block, which is the same sequence.
 
 ``CorrelationSpec`` validates its fields at construction, a custom matrix
 included (real, square, symmetric, unit diagonal, PSD), so
@@ -19,7 +22,7 @@ check that a spec fits a resource grid.
 
 The Cholesky factor of a covariance is built once per spec, on first use
 (``CorrelationSpec.lower``), and the correlation itself is one batched
-BLAS ``matmul`` per call of ``sample_q_block``.
+BLAS ``matmul`` per block of links (``sample_link_grids``).
 """
 
 from __future__ import annotations
@@ -129,15 +132,21 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Circularly-symmetric complex Gaussians with E|q|^2 = 1.
+def link_normals(rng: np.random.Generator, n_links: int, shape) -> np.ndarray:
+    """(n_links,) + shape circularly-symmetric complex Gaussians, E|q|^2 = 1.
 
-    Fixed transform of two uniform draws: ``sqrt(-ln u1) * exp(2j*pi*u2)``
-    with u1 in (0, 1]; real and imaginary parts each have variance 1/2.
+    One draw of ``(n_links, 2) + shape`` uniforms: per link a u1 block and
+    then a u2 block, transformed by ``sqrt(-ln u1) * exp(2j*pi*u2)`` with u1
+    taken as ``1 - u`` in (0, 1]; real and imaginary parts each have
+    variance 1/2.
     """
-    u1 = 1.0 - rng.random(shape)
-    u2 = rng.random(shape)
-    return np.sqrt(-np.log(u1)) * np.exp(2j * np.pi * u2)
+    u = rng.random((n_links, 2) + shape)
+    return np.sqrt(-np.log(1.0 - u[:, 0])) * np.exp(2j * np.pi * u[:, 1])
+
+
+def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Complex Gaussians of the given shape: one link of :func:`link_normals`."""
+    return link_normals(rng, 1, (shape,) if np.ndim(shape) == 0 else tuple(shape))[0]
 
 
 def build_covariance(spec: CorrelationSpec) -> np.ndarray:
@@ -196,6 +205,23 @@ def check_length(spec: CorrelationSpec, grid: ResourceGrid):
                           f"f_max {grid.f_max}")
 
 
+def sample_link_grids(spec: CorrelationSpec, grid: ResourceGrid, n_antennas: int,
+                      n_links: int, rng: np.random.Generator) -> np.ndarray:
+    """Correlated grids of ``n_links`` consecutive links, shape
+    (n_links, n_antennas, t_max, f_max), from one draw of uniforms.
+
+    The correlation is one batched BLAS product with the spec's cached
+    factor ``L``: ``L @ z`` along time, ``z @ L.T`` along frequency.
+    """
+    check_length(spec, grid)
+    z = link_normals(rng, n_links, (n_antennas, grid.t_max, grid.f_max))
+    if spec.mode == "none":
+        return z
+    if spec.mode == "time":
+        return spec.lower @ z
+    return z @ spec.lower.T
+
+
 def sample_q_block(spec: CorrelationSpec, grid: ResourceGrid, n_links: int,
                    rng: np.random.Generator) -> np.ndarray:
     """Sample the correlated Gaussian grids of ``n_links`` links in one call.
@@ -205,15 +231,7 @@ def sample_q_block(spec: CorrelationSpec, grid: ResourceGrid, n_links: int,
     independent.  mode "frequency": each row is such a draw, rows
     independent.  mode "none": all entries i.i.d. CN(0, 1).  Stacking
     several links into one call changes only how the uniform stream is
-    chunked, not the distribution.
-
-    The correlation is one batched BLAS product with the spec's cached
-    factor ``L``: ``L @ z`` along time, ``z @ L.T`` along frequency.
+    chunked, not the distribution.  It is :func:`sample_link_grids` for one
+    link whose antenna axis holds the ``n_links`` rows.
     """
-    check_length(spec, grid)
-    z = complex_normal(rng, (n_links, grid.t_max, grid.f_max))
-    if spec.mode == "none":
-        return z
-    if spec.mode == "time":
-        return spec.lower @ z
-    return z @ spec.lower.T
+    return sample_link_grids(spec, grid, n_links, 1, rng)[0]

@@ -172,7 +172,11 @@ class TestCli:
                      "realizations": 1}).encode(), "too large"),
         (b"\xff\xfe{}", "not UTF-8"),
         (b"[" * 100000 + b"]" * 100000, "nested too deeply"),
-    ], ids=["oversized", "not-utf8", "deeply-nested"])
+        (json.dumps({"seed": 3, "geometry": {"n_antennas": 2 ** 9},
+                     "users": [{"clusters": [{"direction": 0.1, "spread_fraction": 0.5}]}],
+                     "grid": {"t_max": 2 ** 10}, "realizations": 2 ** 5 + 1,
+                     "outputs": ["histogram"]}).encode(), "too large"),
+    ], ids=["oversized", "not-utf8", "deeply-nested", "kept-realizations"])
     def test_unreadable_or_oversized_document_exits_2(self, content, message, tmp_path,
                                                       capsys, monkeypatch):
         import blockfade.cli as cli
@@ -186,6 +190,28 @@ class TestCli:
         assert main(["simulate", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.count("config error") == 2 and err.count(message) == 2
+
+    def test_overflowing_power_exits_3(self, tmp_path, capsys):
+        # every cluster power is finite, but |h|**2 overflows in the reductions
+        huge = 1.7e308
+        doc = {"seed": 5, "geometry": {"n_antennas": 4},
+               "users": [{"clusters": [{"direction": 0.3, "spread_fraction": 0.5,
+                                        "mean_power": huge},
+                                       {"direction": 1.3, "spread_fraction": 0.5,
+                                        "mean_power": huge}]},
+                         {"clusters": [{"direction": 2.0, "spread_fraction": 0.5,
+                                        "mean_power": huge}]}],
+               "realizations": 3,
+               "outputs": ["correlation-matrix", "power-profile", "cross-correlation",
+                           "histogram"]}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["validate", str(path)]) == 0
+        with np.errstate(all="ignore"):
+            assert main(["simulate", str(path), "--out", str(out)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not (out / "manifest.csv").exists()
 
     @pytest.mark.parametrize("option, value", [
         ("--seed", "-1"), ("--seed", str(2 ** 64)), ("--threads", "0")])

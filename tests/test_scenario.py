@@ -6,9 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from blockfade import (ConfigError, ScenarioConfig, expand_preset, parse_config,
-                       run_scenario)
-from blockfade.scenario import MAX_ARRAY_ENTRIES, PRESET_NAMES, config_to_dict
+from blockfade import (ConfigError, ScenarioConfig, assemble_channel, build_spatial_pair,
+                       expand_preset, parse_config, run_scenario, sample_q_block,
+                       substream)
+from blockfade.scenario import (ARTIFACT_NAMES, DRAW_BLOCK_UNIFORMS, MAX_ARRAY_ENTRIES,
+                                PRESET_NAMES, config_to_dict)
 
 MINIMAL = {
     "seed": 7,
@@ -145,6 +147,22 @@ class TestParseConfig:
                 parse_config(json.dumps(doc))
 
 
+    @pytest.mark.parametrize("output", ["histogram", "raw-channel"])
+    @pytest.mark.parametrize("realizations, ok", [(2 ** 5, True), (2 ** 5 + 1, False)])
+    def test_size_limit_of_kept_realizations(self, output, realizations, ok):
+        # histogram and raw-channel keep every realization's 2**19-entry tensor
+        doc = _doc(geometry={"n_antennas": 2 ** 9}, grid={"t_max": 2 ** 10},
+                   realizations=realizations, outputs=[output])
+        if ok:
+            parse_config(json.dumps(doc))
+        else:
+            with pytest.raises(ConfigError, match="too large"):
+                parse_config(json.dumps(doc))
+        # outputs reduced per realization keep nothing, so they have no such term
+        doc["outputs"] = ["power-profile"]
+        parse_config(json.dumps(doc))
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_presets_round_trip(self, name):
@@ -265,14 +283,15 @@ class TestRunScenario:
 
     def test_statistics_run_once_per_realization(self, counting):
         from blockfade import analytics, scenario
-        counting(scenario, "assemble_channel")
+        # both links fit one draw block, so each tensor is assembled in one call
+        counting(scenario, "add_links")
         for name in ("gram", "eigenvalues_hermitian", "pairwise_correlation"):
             counting(analytics, name)
         doc = _doc(grid={"t_max": 2, "f_max": 3}, realizations=3,
                    outputs=list(scenario.ARTIFACT_NAMES))
         doc["users"] *= 2
         run_scenario(parse_config(json.dumps(doc)))
-        assert counting.calls == {"assemble_channel": 3, "gram": 3,
+        assert counting.calls == {"add_links": 3, "gram": 3,
                                   "eigenvalues_hermitian": 3, "pairwise_correlation": 3}
 
     def test_threads_validation(self):
@@ -293,3 +312,77 @@ class TestRunScenario:
         mags_iid = iid.artifacts["cross-correlation"]["magnitudes"]
         assert np.mean(mags_tight > 0.4) > 0.0
         assert np.median(mags_tight) < np.median(mags_iid)
+
+
+def _reference_channels(config) -> np.ndarray:
+    """(R, t_max, f_max, N, K) channel tensors built link by link with the
+    public single-link functions, in the documented draw order: per
+    (user, cluster) the direction of a "random" cluster and the phase, then
+    per (user, cluster) the link grid."""
+    geometry = config.geometry
+    out = []
+    for index in range(config.realizations):
+        rng = substream(config.seed, index)
+        pairs = []
+        for user in config.users:
+            row = []
+            for cluster in user.clusters:
+                if cluster.is_random_direction:
+                    cluster = replace(cluster, direction=rng.uniform(0.0, np.pi))
+                row.append(build_spatial_pair(cluster, geometry,
+                                              phase_offset=rng.uniform(0.0, 2.0 * np.pi)))
+            pairs.append(row)
+        grids = [[sample_q_block(config.correlation, config.grid, geometry.n_antennas, rng)
+                  for _ in user.clusters] for user in config.users]
+        out.append(assemble_channel(pairs, grids))
+    return np.array(out)
+
+
+def _kernel_channels(config) -> np.ndarray:
+    rows = run_scenario(replace(config, outputs=("raw-channel",))).artifacts["raw-channel"]
+    grid, n = config.grid, config.geometry.n_antennas
+    return np.array([row[3] for row in rows]).reshape(
+        config.realizations, grid.t_max, grid.f_max, n, config.n_users)
+
+
+def _links_per_draw(config) -> int:
+    grid = config.grid
+    return max(1, DRAW_BLOCK_UNIFORMS // (2 * config.geometry.n_antennas
+                                          * grid.t_max * grid.f_max))
+
+
+class TestRealizationKernel:
+    """The batched kernel gives the same bits as the per-link functions."""
+
+    def test_single_rb_all_links_in_one_draw(self):
+        n = 8
+        users = []
+        for j in range(6):
+            fixed = {"direction": 0.4 * j + 0.1, "spread_fraction": 0.2 * (j % 4),
+                     "mean_power": list(np.linspace(0.5, 1.5 + j, n))}
+            random = {"direction": "random", "spread_fraction": 0.7, "mean_power": 0.5 + j}
+            users.append({"clusters": [fixed, random] if j % 2 else [random, fixed, fixed]})
+        config = parse_config(json.dumps(_doc(geometry={"n_antennas": n}, users=users,
+                                              realizations=4, seed=21)))
+        assert sum(u.n_clusters for u in config.users) <= _links_per_draw(config)
+        assert _kernel_channels(config).tobytes() == _reference_channels(config).tobytes()
+
+    @pytest.mark.parametrize("mode, length", [("time", 14), ("frequency", 12)])
+    def test_correlated_grid_blocks_cross_users(self, mode, length, tmp_path):
+        users = [{"clusters": [{"direction": 0.3 + j, "spread_fraction": 0.4,
+                                "mean_power": list(np.linspace(0.5, 1.5, 64))},
+                               {"direction": "random", "spread_fraction": 0.8,
+                                "mean_power": 0.5}]} for j in range(3)]
+        doc = _doc(geometry={"n_antennas": 64}, users=users, realizations=2,
+                   grid={"t_max": 14, "f_max": 12}, seed=33, bins=8,
+                   correlation={"mode": mode, "model": "exponential", "rho": 0.7,
+                                "length": length})
+        config = parse_config(json.dumps(doc))
+        # 3 links per draw and 2 clusters per user: a block edge splits a user
+        assert _links_per_draw(config) == 3
+        assert _kernel_channels(config).tobytes() == _reference_channels(config).tobytes()
+
+        config = replace(config, outputs=ARTIFACT_NAMES)
+        one = run_scenario(config, out_dir=tmp_path / "one", threads=1)
+        two = run_scenario(config, out_dir=tmp_path / "two", threads=2)
+        assert one.manifest == two.manifest
