@@ -12,11 +12,9 @@ threaded runs reduce bit for bit like sequential ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
 
 import numpy as np
 
-from .assembly import ChannelBlock
 from .errors import NumericalError
 
 HERMITIAN_INPUT_TOLERANCE = 1e-10
@@ -29,23 +27,14 @@ class GramStats:
 
     g: np.ndarray
     offdiag_mags: np.ndarray
-    diag: np.ndarray
 
 
 @dataclass(frozen=True)
 class EmpiricalCDF:
-    """Right-continuous empirical CDF: query(x) = (#samples <= x) / n."""
+    """Right-continuous empirical CDF of the sorted samples ``values``: at a
+    sample value x it is (#samples <= x) / n."""
 
     values: np.ndarray
-    probabilities: np.ndarray
-
-    def query(self, x) -> Union[float, np.ndarray]:
-        idx = np.searchsorted(self.values, x, side="right")
-        out = idx / len(self.values)
-        return float(out) if np.isscalar(x) else out
-
-    def quantile(self, q) -> Union[float, np.ndarray]:
-        return np.quantile(self.values, q)
 
     def points(self):
         """(value, cdf) pairs at the unique sample values."""
@@ -88,27 +77,17 @@ class UserCorrelationMatrix:
         return float(off.mean())
 
 
-def _as_stack(h) -> np.ndarray:
-    """Complex array of a matrix, a stack, a ChannelBlock or a sequence of them."""
-    if isinstance(h, ChannelBlock):
-        return h.h
-    if isinstance(h, (list, tuple)):
-        return np.stack([_as_stack(b) for b in h])
-    return np.asarray(h, dtype=complex)
-
-
 def gram(h) -> GramStats:
     """Gram statistics G = (1/N) H^H H of a channel matrix or stack.
 
     The product is symmetrized to make the stored matrix exactly Hermitian;
     the off-diagonal magnitudes are taken from the upper triangle.
     """
-    matrix = _as_stack(h)
+    matrix = np.asarray(h, dtype=complex)
     g = np.conj(matrix).swapaxes(-1, -2) @ matrix / matrix.shape[-2]
     g = 0.5 * (g + np.conj(g).swapaxes(-1, -2))
     iu = np.triu_indices(g.shape[-1], 1)
-    return GramStats(g=g, offdiag_mags=np.abs(g[..., iu[0], iu[1]]),
-                     diag=g.diagonal(axis1=-2, axis2=-1).real.copy())
+    return GramStats(g=g, offdiag_mags=np.abs(g[..., iu[0], iu[1]]))
 
 
 def eigenvalues_hermitian(g) -> np.ndarray:
@@ -143,15 +122,14 @@ def empirical_cdf(samples) -> EmpiricalCDF:
     values = np.sort(np.asarray(samples, dtype=float).ravel())
     if values.size == 0:
         raise ValueError("empirical_cdf needs at least one sample")
-    probs = np.arange(1, values.size + 1) / values.size
-    return EmpiricalCDF(values=values, probabilities=probs)
+    return EmpiricalCDF(values=values)
 
 
 def pairwise_correlation(h) -> np.ndarray:
     """Normalized inner-product magnitudes |h_i^H h_j| / (|h_i| |h_j|) of a
     channel matrix or stack, shape (..., K, K); raises on a zero-norm
     (degenerate) user column."""
-    h = _as_stack(h)
+    h = np.asarray(h, dtype=complex)
     norms = np.linalg.norm(h, axis=-2)
     if (norms == 0).any():
         bad = int(np.argwhere(norms == 0)[0, -1])
@@ -175,21 +153,6 @@ def average_correlation(per_realization) -> UserCorrelationMatrix:
     acc = 0.5 * (acc + acc.T)
     np.fill_diagonal(acc, 1.0)
     return UserCorrelationMatrix(values=acc)
-
-
-def user_correlation(realizations: Sequence) -> UserCorrelationMatrix:
-    """Cross-correlation of users averaged over channel realizations.
-
-    Per realization the normalized inner-product magnitude of every user
-    pair is computed; the average over realizations forms the matrix.  The
-    diagonal is forced to exactly 1.
-    """
-    if len(realizations) == 0:
-        raise ValueError("user_correlation needs at least one realization")
-    h = _as_stack(realizations)
-    if h.shape[-1] < 2:
-        raise ValueError("user_correlation needs at least two users")
-    return average_correlation(pairwise_correlation(h))
 
 
 def coefficient_histogram(values, bins_per_axis: int = 64) -> Histogram2D:
@@ -216,18 +179,6 @@ def power_profile(realizations) -> np.ndarray:
     realization."""
     if len(realizations) == 0:
         raise ValueError("power_profile needs at least one realization")
-    h = _as_stack(realizations)
+    h = np.asarray(realizations, dtype=complex)
     return ordered_mean((np.abs(h) ** 2).reshape((-1,) + h.shape[-2:]))
 
-
-def offdiag_exceedance(stats: Sequence[GramStats], threshold: float) -> float:
-    """Fraction of off-diagonal Gram magnitudes above ``threshold`` across
-    all provided realizations; 0.0 when there are no off-diagonals."""
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
-    total = 0
-    above = 0
-    for s in stats:
-        total += s.offdiag_mags.size
-        above += int((s.offdiag_mags > threshold).sum())
-    return above / total if total else 0.0

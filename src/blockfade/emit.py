@@ -153,54 +153,20 @@ def svg_power_profile(profile: np.ndarray) -> str:
 # ---------------------------------------------------------------------------
 # bundle writing
 
-_CSV_HEADERS = {
-    "histogram": "re_center,im_center,count",
-    "eigencdf": "eigenvalue,cdf",
-    "cross-correlation": "magnitude_center,count",
-    "power-profile": "antenna_index,user_index,mean_power",
-    "correlation-matrix": None,
-    "raw-channel": "realization,t,f,antenna,user,re,im",
+# name -> (CSV file, CSV header or None, row formatter, SVG file or None,
+# SVG renderer), in the order the files are written
+_ARTIFACTS = {
+    "histogram": ("histogram.csv", "re_center,im_center,count", histogram_rows,
+                  "histogram.svg", svg_heatmap),
+    "eigencdf": ("eigencdf.csv", "eigenvalue,cdf", ecdf_rows, "eigencdf.svg", svg_ecdf),
+    "cross-correlation": ("xcorr_hist.csv", "magnitude_center,count", xcorr_rows,
+                          "xcorr_hist.svg", svg_xcorr),
+    "power-profile": ("power_profile.csv", "antenna_index,user_index,mean_power",
+                      power_profile_rows, "power_profile.svg", svg_power_profile),
+    "correlation-matrix": ("correlation_matrix.csv", None, correlation_rows, None, None),
+    "raw-channel": ("raw_channel.csv", "realization,t,f,antenna,user,re,im",
+                    raw_channel_rows, None, None),
 }
-
-_CSV_FILES = {
-    "histogram": "histogram.csv",
-    "eigencdf": "eigencdf.csv",
-    "cross-correlation": "xcorr_hist.csv",
-    "power-profile": "power_profile.csv",
-    "correlation-matrix": "correlation_matrix.csv",
-    "raw-channel": "raw_channel.csv",
-}
-
-_SVG_FILES = {
-    "histogram": "histogram.svg",
-    "eigencdf": "eigencdf.svg",
-    "cross-correlation": "xcorr_hist.svg",
-    "power-profile": "power_profile.svg",
-}
-
-
-def _rows_for(name: str, payload) -> list:
-    if name == "histogram":
-        return list(histogram_rows(payload))
-    if name == "eigencdf":
-        return list(ecdf_rows(payload))
-    if name == "cross-correlation":
-        return list(xcorr_rows(payload))
-    if name == "power-profile":
-        return list(power_profile_rows(payload))
-    if name == "correlation-matrix":
-        return list(correlation_rows(payload))
-    return list(raw_channel_rows(payload))
-
-
-def _svg_for(name: str, payload) -> str:
-    if name == "histogram":
-        return svg_heatmap(payload)
-    if name == "eigencdf":
-        return svg_ecdf(payload)
-    if name == "cross-correlation":
-        return svg_xcorr(payload)
-    return svg_power_profile(payload)
 
 
 def _write(path: str, data: bytes, artifact: str):
@@ -231,16 +197,15 @@ def write_bundle(bundle: ReportBundle, out_dir) -> tuple:
     echo = json.dumps(config_to_dict(bundle.config), indent=2, sort_keys=True) + "\n"
     emit("config.json", echo.encode(), 0)
 
-    for name in _CSV_FILES:
+    for name, (csv_file, header, rows_of, svg_file, render) in _ARTIFACTS.items():
         if name not in bundle.artifacts:
             continue
         payload = bundle.artifacts[name]
-        rows = _rows_for(name, payload)
-        header = _CSV_HEADERS[name]
+        rows = list(rows_of(payload))
         text = "\n".join(([header] if header else []) + rows) + "\n"
-        emit(_CSV_FILES[name], text.encode(), len(rows))
-        if name in _SVG_FILES:
-            emit(_SVG_FILES[name], _svg_for(name, payload).encode(), 0)
+        emit(csv_file, text.encode(), len(rows))
+        if svg_file:
+            emit(svg_file, render(payload).encode(), 0)
 
     manifest_rows = sorted(manifest)
     text = "\n".join(["artifact,rows,sha256"]

@@ -410,34 +410,35 @@ def _realize(config: ScenarioConfig, links: LinkTable, index: int, needs: set) -
     is taken once over the (t_max, f_max, N, K) channel tensor, RBs in
     t-major order.
     """
-    rng = substream(config.seed, index)
-    n, grid = config.geometry.n_antennas, config.grid
-    p = draw_means(links, rng)
-    h = np.zeros((grid.t_max, grid.f_max, n, config.n_users), dtype=complex)
-    step = max(1, DRAW_BLOCK_UNIFORMS // (2 * n * grid.t_max * grid.f_max))
-    for a in range(0, len(p), step):
-        block = slice(a, a + step)
-        # the grids are bound to no name, so they are freed once added
-        add_links(h, links.user[block], p[block], links.r[block],
-                  sample_link_grids(config.correlation, grid, n, len(p[block]), rng))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rng = substream(config.seed, index)
+        n, grid = config.geometry.n_antennas, config.grid
+        p = draw_means(links, rng)
+        h = np.zeros((grid.t_max, grid.f_max, n, config.n_users), dtype=complex)
+        step = max(1, DRAW_BLOCK_UNIFORMS // (2 * n * grid.t_max * grid.f_max))
+        for a in range(0, len(p), step):
+            block = slice(a, a + step)
+            # the grids are bound to no name, so they are freed once added
+            add_links(h, links.user[block], p[block], links.r[block],
+                      sample_link_grids(config.correlation, grid, n, len(p[block]), rng))
 
-    out = {}
-    if "histogram" in needs:
-        out["samples"] = h.ravel()
-    if needs & {"cross-correlation", "eigencdf"}:
-        stats = analytics.gram(h)
-        if "cross-correlation" in needs:
-            out["offdiag"] = stats.offdiag_mags.ravel()
-        if "eigencdf" in needs:
-            out["eigen"] = analytics.eigenvalues_hermitian(stats.g).ravel()
-    if "power-profile" in needs:
-        out["power"] = analytics.power_profile(h)
-    if "correlation-matrix" in needs:
-        k = config.n_users
-        out["xcorr"] = analytics.ordered_mean(
-            analytics.pairwise_correlation(h).reshape(-1, k, k))
-    if "raw-channel" in needs:
-        out["raw"] = [(index, t + 1, f + 1, h[t, f]) for t, f in np.ndindex(h.shape[:2])]
+        out = {}
+        if "histogram" in needs:
+            out["samples"] = h.ravel()
+        if needs & {"cross-correlation", "eigencdf"}:
+            stats = analytics.gram(h)
+            if "cross-correlation" in needs:
+                out["offdiag"] = stats.offdiag_mags.ravel()
+            if "eigencdf" in needs:
+                out["eigen"] = analytics.eigenvalues_hermitian(stats.g).ravel()
+        if "power-profile" in needs:
+            out["power"] = analytics.power_profile(h)
+        if "correlation-matrix" in needs:
+            k = config.n_users
+            out["xcorr"] = analytics.ordered_mean(
+                analytics.pairwise_correlation(h).reshape(-1, k, k))
+        if "raw-channel" in needs:
+            out["raw"] = [(index, t + 1, f + 1, h[t, f]) for t, f in np.ndindex(h.shape[:2])]
     return out
 
 
@@ -474,30 +475,32 @@ def run_scenario(config: ScenarioConfig, out_dir=None, threads: int = 1) -> Repo
     if threads == 1:
         results = [_realize(config, links, m, needs) for m in indices]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=min(threads, config.realizations)) as pool:
             results = list(pool.map(lambda m: _realize(config, links, m, needs), indices))
 
-    artifacts = {}
-    if "histogram" in needs:
-        samples = np.concatenate([r["samples"] for r in results])
-        artifacts["histogram"] = analytics.coefficient_histogram(samples, config.bins)
-    if "cross-correlation" in needs:
-        mags = np.concatenate([r["offdiag"] for r in results])
-        top = max(1.0, float(mags.max()))
-        edges = np.linspace(0.0, top, config.bins + 1)
-        counts, _ = np.histogram(mags, bins=edges)
-        artifacts["cross-correlation"] = {"edges": edges, "counts": counts.astype(np.int64),
-                                          "magnitudes": mags}
-    if "eigencdf" in needs:
-        eigen = np.concatenate([r["eigen"] for r in results])
-        artifacts["eigencdf"] = analytics.empirical_cdf(eigen / config.mean_link_power())
-    if "power-profile" in needs:
-        artifacts["power-profile"] = analytics.ordered_mean([r["power"] for r in results])
-    if "correlation-matrix" in needs:
-        artifacts["correlation-matrix"] = analytics.average_correlation(
-            [r["xcorr"] for r in results])
-    if "raw-channel" in needs:
-        artifacts["raw-channel"] = [row for r in results for row in r["raw"]]
+    # an overflowing channel power only becomes a non-finite artifact here
+    with np.errstate(over="ignore", invalid="ignore"):
+        artifacts = {}
+        if "histogram" in needs:
+            samples = np.concatenate([r["samples"] for r in results])
+            artifacts["histogram"] = analytics.coefficient_histogram(samples, config.bins)
+        if "cross-correlation" in needs:
+            mags = np.concatenate([r["offdiag"] for r in results])
+            top = max(1.0, float(mags.max()))
+            edges = np.linspace(0.0, top, config.bins + 1)
+            counts, _ = np.histogram(mags, bins=edges)
+            artifacts["cross-correlation"] = {"edges": edges, "counts": counts.astype(np.int64),
+                                              "magnitudes": mags}
+        if "eigencdf" in needs:
+            eigen = np.concatenate([r["eigen"] for r in results])
+            artifacts["eigencdf"] = analytics.empirical_cdf(eigen / config.mean_link_power())
+        if "power-profile" in needs:
+            artifacts["power-profile"] = analytics.ordered_mean([r["power"] for r in results])
+        if "correlation-matrix" in needs:
+            artifacts["correlation-matrix"] = analytics.average_correlation(
+                [r["xcorr"] for r in results])
+        if "raw-channel" in needs:
+            artifacts["raw-channel"] = [row for r in results for row in r["raw"]]
     _require_finite(artifacts)
 
     bundle = ReportBundle(config=config, artifacts=artifacts)

@@ -144,11 +144,6 @@ def link_normals(rng: np.random.Generator, n_links: int, shape) -> np.ndarray:
     return np.sqrt(-np.log(1.0 - u[:, 0])) * np.exp(2j * np.pi * u[:, 1])
 
 
-def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Complex Gaussians of the given shape: one link of :func:`link_normals`."""
-    return link_normals(rng, 1, (shape,) if np.ndim(shape) == 0 else tuple(shape))[0]
-
-
 def build_covariance(spec: CorrelationSpec) -> np.ndarray:
     """Covariance matrix of the correlated RB dimension.
 

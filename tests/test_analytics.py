@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from blockfade import (ArrayGeometry, ChannelBlock, ClusterSpec, NumericalError,
-                       build_spatial_pair, coefficient_histogram, complex_normal,
-                       eigenvalues_hermitian, empirical_cdf, gram,
-                       offdiag_exceedance, power_profile, substream,
-                       user_correlation)
+from blockfade import (ArrayGeometry, ClusterSpec, NumericalError, build_spatial_pair,
+                       coefficient_histogram, eigenvalues_hermitian, empirical_cdf, gram,
+                       power_profile, substream)
+from blockfade.analytics import average_correlation, pairwise_correlation
+from blockfade.stochastic import link_normals
 
 
 def _ramp_matrix(n, slopes, amplitude=1.0):
@@ -23,7 +23,7 @@ class TestGram:
         h = _ramp_matrix(n, 2 * np.pi * np.arange(k) / n)
         stats = gram(h)
         assert np.allclose(stats.g, np.eye(k), atol=1e-12)
-        assert np.allclose(stats.diag, 1.0)
+        assert np.allclose(stats.g.diagonal(), 1.0)
         assert np.allclose(stats.offdiag_mags, 0.0, atol=1e-12)
 
     def test_dirichlet_kernel_closed_form(self):
@@ -40,21 +40,17 @@ class TestGram:
         rng = substream(8, 0)
         vals = np.empty(m)
         for i in range(m):
-            h = complex_normal(rng, (n, k))
+            h = link_normals(rng, 1, (n, k))[0]
             vals[i] = gram(h).offdiag_mags[0] ** 2
         assert abs(vals.mean() - 1 / n) <= 0.1 / n
 
     def test_hermitian_closure_and_trace(self):
         rng = substream(8, 1)
-        h = complex_normal(rng, (16, 5))
+        h = link_normals(rng, 1, (16, 5))[0]
         stats = gram(h)
         assert np.array_equal(stats.g, stats.g.conj().T)
         trace = stats.g.trace().real
         assert abs(trace - np.linalg.norm(h) ** 2 / 16) <= 1e-10 * max(1.0, trace)
-
-    def test_accepts_channel_block(self):
-        h = np.eye(3, dtype=complex)
-        assert np.allclose(gram(ChannelBlock(h=h)).g, np.eye(3) / 3)
 
 
 class TestEigenvaluesHermitian:
@@ -110,17 +106,20 @@ class TestEigenvaluesHermitian:
 
 class TestEmpiricalCDF:
     def test_point_mass(self):
-        cdf = empirical_cdf([1, 1, 1])
-        assert cdf.query(0.999) == 0.0
-        assert cdf.query(1.0) == 1.0
+        values, probs = empirical_cdf([1, 1, 1]).points()
+        assert np.array_equal(values, [1.0])
+        assert np.array_equal(probs, [1.0])
 
     def test_step_midpoint(self):
-        assert empirical_cdf([1, 2, 3, 4]).query(2.5) == 0.5
+        cdf = empirical_cdf([4, 2, 3, 1])
+        assert np.array_equal(cdf.values, [1.0, 2.0, 3.0, 4.0])
+        values, probs = cdf.points()
+        assert probs[values <= 2.5][-1] == 0.5
 
     def test_exponential_median(self):
-        q = complex_normal(substream(16, 0), 10 ** 4)
-        cdf = empirical_cdf(np.abs(q) ** 2)
-        assert abs(cdf.query(np.log(2)) - 0.5) <= 0.02
+        q = link_normals(substream(16, 0), 1, (10 ** 4,))[0]
+        values, probs = empirical_cdf(np.abs(q) ** 2).points()
+        assert abs(probs[values <= np.log(2)][-1] - 0.5) <= 0.02
 
     def test_points_deduplicate(self):
         values, probs = empirical_cdf([2.0, 1.0, 2.0]).points()
@@ -133,36 +132,34 @@ class TestEmpiricalCDF:
 
 
 class TestUserCorrelation:
+    @staticmethod
+    def user_correlation(h):
+        return average_correlation(pairwise_correlation(h))
+
     def test_identical_users(self):
-        h = complex_normal(substream(17, 0), (8, 1))
-        block = ChannelBlock(h=np.hstack([h, h]))
-        corr = user_correlation([block])
+        h = link_normals(substream(17, 0), 1, (8, 1))[0]
+        corr = self.user_correlation(np.hstack([h, h])[None])
         assert corr.values[0, 1] == pytest.approx(1.0, abs=1e-12)
         assert corr.values[0, 0] == 1.0
 
     def test_full_period_slope_offset_is_orthogonal(self):
         n = 32
         h = _ramp_matrix(n, [0.0, 2 * np.pi / n])
-        corr = user_correlation([ChannelBlock(h=h)])
+        corr = self.user_correlation(h[None])
         assert corr.values[0, 1] <= 1e-10
 
     def test_degenerate_user_rejected(self):
         h = np.zeros((4, 2), complex)
         h[:, 0] = 1.0
         with pytest.raises(NumericalError, match="zero-norm"):
-            user_correlation([ChannelBlock(h=h)])
-
-    def test_needs_two_users(self):
-        with pytest.raises(ValueError):
-            user_correlation([ChannelBlock(h=np.ones((4, 1), complex))])
+            self.user_correlation(h[None])
 
     def test_contraction_with_antenna_count(self):
         # same seeds, more antennas -> lower mean cross-correlation
         def mean_corr(n):
             rng = substream(18, n)
-            blocks = [ChannelBlock(h=complex_normal(rng, (n, 2)))
-                      for _ in range(300)]
-            return user_correlation(blocks).mean_offdiagonal
+            h = np.stack([link_normals(rng, 1, (n, 2))[0] for _ in range(300)])
+            return self.user_correlation(h).mean_offdiagonal
         assert mean_corr(128) < mean_corr(20)
 
 
@@ -184,7 +181,7 @@ class TestCoefficientHistogram:
         assert np.abs(radii - 0.9).max() <= diag
 
     def test_counts_cover_all_samples(self):
-        q = complex_normal(substream(19, 0), 5000)
+        q = link_normals(substream(19, 0), 1, (5000,))[0]
         hist = coefficient_histogram(q, bins_per_axis=16)
         assert hist.total == 5000
         assert hist.re_edges[0] == -hist.re_edges[-1]
@@ -199,7 +196,7 @@ class TestCoefficientHistogram:
 class TestPowerProfile:
     def test_flat_iid_profile(self):
         rng = substream(20, 0)
-        blocks = [ChannelBlock(h=complex_normal(rng, (8, 3))) for _ in range(10 ** 4)]
+        blocks = [link_normals(rng, 1, (8, 3))[0] for _ in range(10 ** 4)]
         profile = power_profile(blocks)
         assert profile.shape == (8, 3)
         assert np.abs(profile - 1.0).max() <= 0.05
@@ -209,24 +206,6 @@ class TestPowerProfile:
         pair = build_spatial_pair(
             ClusterSpec(direction=0.3, spread_fraction=0.0, mean_power=beta),
             ArrayGeometry(n_antennas=6))
-        blocks = [ChannelBlock(h=pair.p[:, None])] * 50
+        blocks = [pair.p[:, None]] * 50
         assert np.allclose(power_profile(blocks)[:, 0], beta, rtol=1e-12)
 
-
-class TestOffdiagExceedance:
-    def test_identity_grams(self):
-        stats = [gram(np.eye(4, dtype=complex)) for _ in range(5)]
-        assert offdiag_exceedance(stats, 0.4) == 0.0
-
-    def test_counting(self):
-        h = _ramp_matrix(4, [0.0, 0.1, 2 * np.pi / 4])
-        stats = [gram(h)]
-        mags = stats[0].offdiag_mags
-        threshold = float(np.median(mags))
-        expected = np.mean(mags > threshold)
-        assert offdiag_exceedance(stats, threshold) == expected
-
-    def test_validation_and_empty(self):
-        with pytest.raises(ValueError):
-            offdiag_exceedance([], -0.1)
-        assert offdiag_exceedance([], 0.4) == 0.0

@@ -1,12 +1,10 @@
-"""Tests for channel assembly and uplink frame synthesis."""
+"""Tests for channel assembly."""
 
 import numpy as np
 import pytest
 
-from blockfade import (ArrayGeometry, ChannelBlock, ClusterSpec, CorrelationSpec,
-                       ResourceGrid, UplinkFrame, assemble_channel,
-                       build_spatial_pair, qpsk_symbols, sample_q_block,
-                       substream, synthesize_uplink)
+from blockfade import (ArrayGeometry, ClusterSpec, CorrelationSpec, ResourceGrid,
+                       assemble_channel, build_spatial_pair, sample_q_block, substream)
 
 GEO = ArrayGeometry(n_antennas=4, spacing_ratio=0.25)
 GRID = ResourceGrid(t_max=2, f_max=3)
@@ -93,69 +91,8 @@ class TestAssembleChannel:
             assemble_channel(pairs, bad)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            ChannelBlock(h=np.array([[np.inf + 0j]]))
         pairs, qgrids = _pairs_and_grids([0.5], [0.3], substream(5, 1))
         qgrids[0][0][1, 1, 2] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             assemble_channel(pairs, qgrids)
 
-
-class TestSynthesizeUplink:
-    def _block(self, rng, n=4, k=2):
-        h = np.asarray(sample_q_block(CorrelationSpec.none(), ResourceGrid(), n * k, rng)
-                       ).reshape(n, k)
-        return ChannelBlock(h=h)
-
-    def test_noiseless_exact(self):
-        rng = substream(6, 0)
-        block = self._block(rng)
-        x = qpsk_symbols(2, 16, rng)
-        frame = synthesize_uplink(block, x, 0.0, rng)
-        assert np.array_equal(frame.y, block.h @ x)
-
-    def test_identity_pilots_recover_columns(self):
-        rng = substream(6, 1)
-        block = self._block(rng, n=5, k=3)
-        frame = synthesize_uplink(block, np.eye(3, dtype=complex), 0.0, rng)
-        assert np.array_equal(frame.y, block.h)
-
-    def test_received_power_accounting(self):
-        # E|y|^2 = K + sigma^2 for unit-power channel and symbols
-        rng = substream(6, 2)
-        k, n, t, frames = 4, 10, 250, 40
-        noise_var = 0.1
-        total = 0.0
-        count = 0
-        for _ in range(frames):
-            block = self._block(rng, n=n, k=k)
-            frame = synthesize_uplink(block, qpsk_symbols(k, t, rng), noise_var, rng)
-            total += np.sum(np.abs(frame.y) ** 2)
-            count += frame.y.size
-        mean_power = total / count
-        assert abs(mean_power - (k + noise_var)) <= 0.03 * (k + noise_var)
-
-    def test_linearity(self):
-        rng = substream(6, 3)
-        block = self._block(rng)
-        x1 = qpsk_symbols(2, 8, rng)
-        x2 = qpsk_symbols(2, 8, rng)
-        y12 = synthesize_uplink(block, x1 + x2, 0.0, rng).y
-        y1 = synthesize_uplink(block, x1, 0.0, rng).y
-        y2 = synthesize_uplink(block, x2, 0.0, rng).y
-        assert np.allclose(y12, y1 + y2, atol=1e-12)
-
-    def test_validation(self):
-        rng = substream(6, 4)
-        block = self._block(rng)
-        with pytest.raises(ValueError):
-            synthesize_uplink(block, qpsk_symbols(3, 8, rng), 0.0, rng)  # K mismatch
-        with pytest.raises(ValueError):
-            synthesize_uplink(block, qpsk_symbols(2, 8, rng), -0.1, rng)
-        with pytest.raises(ValueError):
-            # long frame with off-unit mean symbol power
-            UplinkFrame(y=np.zeros((2, 128), complex),
-                        x=1.2 * qpsk_symbols(2, 128, rng), noise_var=0.0)
-        # unit-modulus alphabets pass exactly
-        UplinkFrame(y=np.zeros((2, 128), complex), x=qpsk_symbols(2, 128, rng),
-                    noise_var=0.0)

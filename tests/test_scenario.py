@@ -298,6 +298,19 @@ class TestRunScenario:
         with pytest.raises(ValueError):
             run_scenario(self._config(), threads=0)
 
+    def test_worker_count_capped_at_realizations(self, monkeypatch):
+        from blockfade import scenario
+        real_pool = scenario.ThreadPoolExecutor
+        workers = []
+
+        def recording_pool(max_workers):
+            workers.append(max_workers)
+            return real_pool(max_workers=max_workers)
+        monkeypatch.setattr(scenario, "ThreadPoolExecutor", recording_pool)
+        # at most 3 threads start: one per realization
+        run_scenario(self._config(realizations=3), threads=10 ** 6)
+        assert workers == [3]
+
     def test_determinism_shift_of_cross_correlation(self):
         # tight-spread random-direction pairs put mass above 0.4 yet push
         # the bulk of |g_nd| below the fully random case

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from blockfade import (CorrelationSpec, NumericalError, ResourceGrid,
-                       build_covariance, cholesky_psd, complex_normal,
-                       sample_q_block, substream)
+                       build_covariance, cholesky_psd, sample_q_block, substream)
+from blockfade.stochastic import link_normals
 
 
 class TestBuildCovariance:
@@ -95,7 +95,7 @@ class TestCholesky:
 
 class TestComplexNormal:
     def test_moments(self):
-        q = complex_normal(substream(17, 0), 10 ** 5)
+        q = link_normals(substream(17, 0), 1, (10 ** 5,))[0]
         n = q.size
         assert np.abs(q.mean()) <= 5 / np.sqrt(n)
         assert abs(np.mean(np.abs(q) ** 2) - 1.0) <= 0.02
@@ -157,7 +157,7 @@ class TestSampleQBlock:
     def test_matches_einsum_oracle(self, spec, grid):
         q = sample_q_block(spec, grid, 7, substream(41, 2))
         # the same substream gives the same draws; the product is the explicit sum
-        z = complex_normal(substream(41, 2), (7, grid.t_max, grid.f_max))
+        z = link_normals(substream(41, 2), 1, (7, grid.t_max, grid.f_max))[0]
         lower = cholesky_psd(build_covariance(spec))
         if spec.mode == "time":
             expected = np.einsum("ab,nbf->naf", lower, z)
