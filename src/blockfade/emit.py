@@ -1,7 +1,8 @@
 """CSV and SVG artifact emission with a sha256 manifest.
 
 Floats are rendered with 17 significant digits so repeated runs diff
-byte-identically.
+byte-identically.  Files stream to disk and into their sha256 in chunks;
+``raw_channel.csv`` is formatted ``RAW_CHUNK_ROWS`` rows at a time.
 """
 
 from __future__ import annotations
@@ -9,26 +10,25 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
 from .scenario import ReportBundle, config_to_dict
 
+# Rows of raw_channel.csv formatted at a time (~4 MiB of text)
+RAW_CHUNK_ROWS = 2 ** 16
+
 
 def fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def histogram_rows(hist) -> Iterable[str]:
     rc, ic = hist.re_centers, hist.im_centers
-    for i in range(len(rc)):
-        for j in range(len(ic)):
-            yield f"{fmt(rc[i])},{fmt(ic[j])},{int(hist.counts[i, j])}"
+    for (i, j), count in np.ndenumerate(hist.counts):
+        yield f"{fmt(rc[i])},{fmt(ic[j])},{count}"
 
 
 def ecdf_rows(cdf) -> Iterable[str]:
@@ -44,10 +44,8 @@ def xcorr_rows(payload) -> Iterable[str]:
 
 
 def power_profile_rows(profile: np.ndarray) -> Iterable[str]:
-    n, k = profile.shape
-    for i in range(n):
-        for j in range(k):
-            yield f"{i + 1},{j + 1},{fmt(profile[i, j])}"
+    for (i, j), power in np.ndenumerate(profile):
+        yield f"{i + 1},{j + 1},{fmt(power)}"
 
 
 def correlation_rows(matrix) -> Iterable[str]:
@@ -55,13 +53,22 @@ def correlation_rows(matrix) -> Iterable[str]:
         yield ",".join(fmt(x) for x in row)
 
 
-def raw_channel_rows(records) -> Iterable[str]:
-    for realization, t, f, h in records:
-        n, k = h.shape
-        for i in range(n):
-            for j in range(k):
-                yield (f"{realization + 1},{t},{f},{i + 1},{j + 1},"
-                       f"{fmt(h[i, j].real)},{fmt(h[i, j].imag)}")
+def raw_channel_rows(kept: np.ndarray) -> Iterable[str]:
+    """Rows of the (realizations, t_max, f_max, N, K) channel array in C order, in
+    chunks of at most RAW_CHUNK_ROWS rows: one %-template, antenna and user indices
+    baked in, applied to a flat tuple of (realization, t, f, re, im) per row."""
+    n, k = kept.shape[-2:]
+    cells = [f"%d,%d,%d,{i},{j},%.17g,%.17g\n" for i in range(1, n + 1) for j in range(1, k + 1)]
+    per_rb = kept.reshape(-1, n * k)
+    rbs, part = max(1, RAW_CHUNK_ROWS // (n * k)), min(n * k, RAW_CHUNK_ROWS)
+    for a in range(0, len(per_rb), rbs):
+        rb = np.arange(a, min(a + rbs, len(per_rb)))
+        for s in range(0, n * k, part):
+            values = per_rb[a:a + rbs, s:s + part]
+            args = np.empty(values.shape + (5,), dtype=object)
+            args[..., :3] = np.transpose(np.unravel_index(rb, kept.shape[:3]))[:, None] + 1
+            args[..., 3], args[..., 4] = values.real, values.imag
+            yield ("".join(cells[s:s + part]) * len(rb)) % tuple(args.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +176,18 @@ _ARTIFACTS = {
 }
 
 
-def _write(path: str, data: bytes, artifact: str):
+def _write(path: str, chunks: Iterable[str], artifact: str) -> str:
+    """Write the text chunks to path; return the sha256 of their bytes."""
+    digest = hashlib.sha256()
     try:
         with open(path, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                data = chunk.encode()
+                fh.write(data)
+                digest.update(data)
     except OSError as exc:
         raise OSError(f"failed writing artifact {artifact!r} to {path}: {exc}") from exc
+    return digest.hexdigest()
 
 
 def write_bundle(bundle: ReportBundle, out_dir) -> tuple:
@@ -188,29 +201,29 @@ def write_bundle(bundle: ReportBundle, out_dir) -> tuple:
     files = {}
     manifest = []
 
-    def emit(file_name: str, data: bytes, rows: int):
-        path = os.path.join(out_dir, file_name)
-        _write(path, data, file_name)
-        files[file_name] = path
-        manifest.append((file_name, rows, _sha256(data)))
+    def emit(file_name: str, chunks: Iterable[str], rows: int):
+        files[file_name] = os.path.join(out_dir, file_name)
+        manifest.append((file_name, rows, _write(files[file_name], chunks, file_name)))
 
     echo = json.dumps(config_to_dict(bundle.config), indent=2, sort_keys=True) + "\n"
-    emit("config.json", echo.encode(), 0)
+    emit("config.json", [echo], 0)
 
     for name, (csv_file, header, rows_of, svg_file, render) in _ARTIFACTS.items():
         if name not in bundle.artifacts:
             continue
         payload = bundle.artifacts[name]
-        rows = list(rows_of(payload))
-        text = "\n".join(([header] if header else []) + rows) + "\n"
-        emit(csv_file, text.encode(), len(rows))
+        if name == "raw-channel":
+            emit(csv_file, chain([header + "\n"], rows_of(payload)), payload.size)
+        else:
+            rows = list(rows_of(payload))
+            emit(csv_file, ["\n".join(([header] if header else []) + rows) + "\n"],
+                 len(rows))
         if svg_file:
-            emit(svg_file, render(payload).encode(), 0)
+            emit(svg_file, [render(payload)], 0)
 
     manifest_rows = sorted(manifest)
     text = "\n".join(["artifact,rows,sha256"]
                      + [f"{a},{r},{s}" for a, r, s in manifest_rows]) + "\n"
-    path = os.path.join(out_dir, "manifest.csv")
-    _write(path, text.encode(), "manifest.csv")
-    files["manifest.csv"] = path
+    files["manifest.csv"] = os.path.join(out_dir, "manifest.csv")
+    _write(files["manifest.csv"], [text], "manifest.csv")
     return files, tuple(manifest_rows)

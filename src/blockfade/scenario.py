@@ -397,7 +397,8 @@ def expand_preset(name: str, seed: int = DEFAULT_PRESET_SEED) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # orchestration
 
-def _realize(config: ScenarioConfig, links: LinkTable, index: int, needs: set) -> dict:
+def _realize(config: ScenarioConfig, links: LinkTable, index: int, needs: set,
+             kept: Optional[np.ndarray]) -> dict:
     """Compute one realization's artifact contributions.
 
     Draw order from substream(seed, index), the reproducibility contract:
@@ -408,13 +409,15 @@ def _realize(config: ScenarioConfig, links: LinkTable, index: int, needs: set) -
     as one block of that same sequence and added to the channel tensor in
     (user, cluster) order before the next block is drawn.  Each statistic
     is taken once over the (t_max, f_max, N, K) channel tensor, RBs in
-    t-major order.
+    t-major order.  With ``kept`` set it is assembled in ``kept[index]``, a
+    slice no other realization writes, so threads need no lock.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         rng = substream(config.seed, index)
         n, grid = config.geometry.n_antennas, config.grid
         p = draw_means(links, rng)
-        h = np.zeros((grid.t_max, grid.f_max, n, config.n_users), dtype=complex)
+        h = (np.zeros((grid.t_max, grid.f_max, n, config.n_users), dtype=complex)
+             if kept is None else kept[index])
         step = max(1, DRAW_BLOCK_UNIFORMS // (2 * n * grid.t_max * grid.f_max))
         for a in range(0, len(p), step):
             block = slice(a, a + step)
@@ -423,8 +426,6 @@ def _realize(config: ScenarioConfig, links: LinkTable, index: int, needs: set) -
                       sample_link_grids(config.correlation, grid, n, len(p[block]), rng))
 
         out = {}
-        if "histogram" in needs:
-            out["samples"] = h.ravel()
         if needs & {"cross-correlation", "eigencdf"}:
             stats = analytics.gram(h)
             if "cross-correlation" in needs:
@@ -437,8 +438,6 @@ def _realize(config: ScenarioConfig, links: LinkTable, index: int, needs: set) -
             k = config.n_users
             out["xcorr"] = analytics.ordered_mean(
                 analytics.pairwise_correlation(h).reshape(-1, k, k))
-        if "raw-channel" in needs:
-            out["raw"] = [(index, t + 1, f + 1, h[t, f]) for t, f in np.ndindex(h.shape[:2])]
     return out
 
 
@@ -446,14 +445,8 @@ def _require_finite(artifacts: dict):
     """Raise NumericalError if an artifact holds nan or inf, as a reduction
     over overflowing channel powers does."""
     for name, payload in artifacts.items():
-        if name == "raw-channel":
-            arrays = [row[3] for row in payload]
-        elif isinstance(payload, dict):
-            arrays = payload.values()
-        elif isinstance(payload, np.ndarray):
-            arrays = [payload]
-        else:
-            arrays = vars(payload).values()
+        arrays = (payload.values() if isinstance(payload, dict) else
+                  [payload] if isinstance(payload, np.ndarray) else vars(payload).values())
         if not all(np.isfinite(a).all() for a in arrays):
             raise NumericalError(f"{name} is not finite: a channel power overflowed")
 
@@ -471,19 +464,22 @@ def run_scenario(config: ScenarioConfig, out_dir=None, threads: int = 1) -> Repo
         raise ConfigError(f"threads must be a positive integer, got {threads!r}")
     needs = set(config.outputs)
     links = link_table(config.users, config.geometry)
+    kept = None
+    if needs & {"histogram", "raw-channel"}:  # the outputs that keep every channel
+        kept = np.zeros((config.realizations, config.grid.t_max, config.grid.f_max,
+                         config.geometry.n_antennas, config.n_users), dtype=complex)
     indices = range(config.realizations)
     if threads == 1:
-        results = [_realize(config, links, m, needs) for m in indices]
+        results = [_realize(config, links, m, needs, kept) for m in indices]
     else:
         with ThreadPoolExecutor(max_workers=min(threads, config.realizations)) as pool:
-            results = list(pool.map(lambda m: _realize(config, links, m, needs), indices))
+            results = list(pool.map(lambda m: _realize(config, links, m, needs, kept), indices))
 
     # an overflowing channel power only becomes a non-finite artifact here
     with np.errstate(over="ignore", invalid="ignore"):
         artifacts = {}
         if "histogram" in needs:
-            samples = np.concatenate([r["samples"] for r in results])
-            artifacts["histogram"] = analytics.coefficient_histogram(samples, config.bins)
+            artifacts["histogram"] = analytics.coefficient_histogram(kept.ravel(), config.bins)
         if "cross-correlation" in needs:
             mags = np.concatenate([r["offdiag"] for r in results])
             top = max(1.0, float(mags.max()))
@@ -500,7 +496,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None, threads: int = 1) -> Repo
             artifacts["correlation-matrix"] = analytics.average_correlation(
                 [r["xcorr"] for r in results])
         if "raw-channel" in needs:
-            artifacts["raw-channel"] = [row for r in results for row in r["raw"]]
+            artifacts["raw-channel"] = kept
     _require_finite(artifacts)
 
     bundle = ReportBundle(config=config, artifacts=artifacts)

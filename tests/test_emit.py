@@ -11,9 +11,11 @@ import pytest
 
 from blockfade import (UserCorrelationMatrix, coefficient_histogram, empirical_cdf,
                        expand_preset, parse_config, run_scenario)
+from blockfade import emit
 from blockfade.cli import main
 from blockfade.emit import (correlation_rows, ecdf_rows, fmt, histogram_rows,
-                            power_profile_rows, write_bundle)
+                            power_profile_rows, raw_channel_rows, write_bundle)
+from blockfade.scenario import ReportBundle
 
 
 class TestRows:
@@ -42,6 +44,55 @@ class TestRows:
     def test_power_profile_rows_one_based(self):
         rows = list(power_profile_rows(np.array([[2.0], [3.0]])))
         assert rows == ["1,1,2", "2,1,3"]
+
+
+def _oracle_raw_rows(kept):
+    """Per-row f-string formatting of raw_channel.csv, the reference for the
+    chunked %-template formatter."""
+    for m, t, f in np.ndindex(kept.shape[:3]):
+        h = kept[m, t, f]
+        n, k = h.shape
+        for i in range(n):
+            for j in range(k):
+                yield (f"{m + 1},{t + 1},{f + 1},{i + 1},{j + 1},"
+                       f"{fmt(h[i, j].real)},{fmt(h[i, j].imag)}")
+
+
+class TestRawChannelRows:
+    @pytest.fixture()
+    def kept(self):
+        # (R, T, F, N, K) = (3, 1, 3, 2, 3): 9 RBs of 6 rows each
+        rng = np.random.default_rng(11)
+        kept = rng.standard_normal((3, 1, 3, 2, 3)) - 1j * rng.random((3, 1, 3, 2, 3))
+        kept[0, 0, 0, 0, :3] = [complex(-0.0, 0.1), complex(5e-324, -0.0),
+                                complex(1.7e308, -5e-324)]
+        kept[2, 0, 2, 1, 2] = complex(0.1, -1.7e308)
+        return kept
+
+    # 12 rows: two RBs a chunk, the last chunk one RB; 4 and 5 rows: RBs
+    # split into parts; 2**16 rows: one chunk
+    @pytest.mark.parametrize("chunk_rows, chunks", [(12, 5), (5, 18), (4, 18), (2 ** 16, 1)])
+    def test_matches_per_row_oracle(self, kept, chunk_rows, chunks, monkeypatch):
+        monkeypatch.setattr(emit, "RAW_CHUNK_ROWS", chunk_rows)
+        parts = list(raw_channel_rows(kept))
+        assert len(parts) == chunks
+        assert all(0 < part.count("\n") <= chunk_rows for part in parts)
+        oracle = "".join(row + "\n" for row in _oracle_raw_rows(kept))
+        assert "".join(parts) == oracle
+        assert oracle.startswith("1,1,1,1,1,-0,0.10000000000000001\n"
+                                 "1,1,1,1,2,4.9406564584124654e-324,-0\n")
+
+    def test_written_file_and_manifest(self, kept, tmp_path, monkeypatch):
+        monkeypatch.setattr(emit, "RAW_CHUNK_ROWS", 12)
+        config = replace(expand_preset("paper-D"), outputs=("raw-channel",))
+        bundle = ReportBundle(config=config, artifacts={"raw-channel": kept})
+        _, manifest = write_bundle(bundle, tmp_path)
+        data = (tmp_path / "raw_channel.csv").read_bytes()
+        expected = "\n".join(["realization,t,f,antenna,user,re,im",
+                              *_oracle_raw_rows(kept)]) + "\n"
+        assert data == expected.encode()
+        rows = {name: (count, digest) for name, count, digest in manifest}
+        assert rows["raw_channel.csv"] == (3 * 1 * 3 * 2 * 3, hashlib.sha256(data).hexdigest())
 
 
 class TestWriteBundle:
@@ -223,6 +274,13 @@ class TestCli:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("numerical failure:")
             assert not (out / "manifest.csv").exists()
+
+    def test_out_names_existing_file_exits_4(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("a file, not a directory")
+        assert main(["preset", "paper-D", "--out", str(target)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("i/o failure:")
 
     @pytest.mark.parametrize("option, value", [
         ("--seed", "-1"), ("--seed", str(2 ** 64)), ("--threads", "0")])

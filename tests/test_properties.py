@@ -4,12 +4,16 @@ Hypothesis generates small scenario documents (N <= 8, 1-3 users, 1-2
 clusters, a grid of at most 3x3 RBs, at most 3 realizations), some with one
 field replaced by a bad value.  The run is derandomized and keeps no example
 database, so the suite draws the same examples every time and writes no
-files.
+files.  ``simulate --out`` runs with warnings as errors and must leave
+stderr empty on success, or write exactly one error line.
 """
 
+import contextlib
+import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -92,5 +96,17 @@ def test_document_that_validates_simulates_and_round_trips(doc):
         assert code == 0
         assert config_from_dict(config_to_dict(config)) == config
         # simulate runs parse_config -> run_scenario -> write_bundle; any
-        # exception other than ConfigError/NumericalError escapes main
-        assert main(["simulate", str(path), "--out", str(Path(tmp) / "out")]) in (0, 3)
+        # exception other than ConfigError/NumericalError escapes main, and
+        # a numpy warning on the way raises
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(["simulate", str(path), "--out", str(Path(tmp) / "out")])
+        assert code in (0, 3)
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == []
+        else:
+            assert len(lines) == 1
+            assert lines[0].startswith(("config error:", "numerical failure:",
+                                        "i/o failure:"))

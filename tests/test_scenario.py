@@ -242,8 +242,8 @@ class TestRunScenario:
                    grid={"t_max": 2, "f_max": 2})
         bundle = run_scenario(parse_config(json.dumps(doc)))
         assert set(bundle.artifacts) == {"histogram", "raw-channel"}
-        # raw rows: realizations x blocks, each carrying the N x K matrix
-        assert len(bundle.artifacts["raw-channel"]) == 3 * 4
+        # the kept channels: (realizations, t_max, f_max, N, K)
+        assert bundle.artifacts["raw-channel"].shape == (3, 2, 2, 4, 1)
         assert bundle.artifacts["histogram"].total == 3 * 4 * 4  # m * blocks * N * K
 
     def test_seed_determinism_and_thread_invariance(self):
@@ -352,10 +352,7 @@ def _reference_channels(config) -> np.ndarray:
 
 
 def _kernel_channels(config) -> np.ndarray:
-    rows = run_scenario(replace(config, outputs=("raw-channel",))).artifacts["raw-channel"]
-    grid, n = config.grid, config.geometry.n_antennas
-    return np.array([row[3] for row in rows]).reshape(
-        config.realizations, grid.t_max, grid.f_max, n, config.n_users)
+    return run_scenario(replace(config, outputs=("raw-channel",))).artifacts["raw-channel"]
 
 
 def _links_per_draw(config) -> int:
