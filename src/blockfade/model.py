@@ -12,8 +12,10 @@ numerics trust a constructed spec.  Direction and spread are fixed for a
 scenario, so ``link_table`` computes the amplitude, the Rician part and the
 phase ramp of every link once; per realization ``draw_means`` then draws
 the cluster phases and the "random" directions in one block of uniforms
-and forms every link's mean vector in one array operation.
-``build_spatial_pair`` is the one-link case of the same formulas.
+and forms every link's mean vector in one array operation, and
+``add_links`` adds the links ``p + r * q`` into the channel tensor.  These
+are the only functions that build a channel; a single link is a one-row
+``link_table``.
 """
 
 from __future__ import annotations
@@ -137,41 +139,9 @@ class UserSpec:
             if not isinstance(c, ClusterSpec):
                 raise ValueError(f"clusters must be ClusterSpec instances, got {type(c)!r}")
 
-    @property
-    def n_clusters(self) -> int:
-        return len(self.clusters)
-
     def total_power(self, n_antennas: int) -> np.ndarray:
         """Per-antenna total average power, summed over clusters."""
         return sum(c.power_vector(n_antennas) for c in self.clusters)
-
-
-@dataclass(frozen=True)
-class SpatialPair:
-    """Spatial mean vector p and spatial standard-deviation vector r of one
-    (user, cluster) link across the array.
-
-    Every antenna satisfies |p_i|^2 + r_i^2 = beta_i for the power the pair
-    was built from.
-    """
-
-    p: np.ndarray
-    r: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=complex)
-        r = np.asarray(self.r, dtype=float)
-        if p.shape != r.shape or p.ndim != 1:
-            raise ValueError("p and r must be 1-D vectors of equal length")
-        if (r < 0).any():
-            raise ValueError("r must be elementwise nonnegative")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "r", r)
-
-    @property
-    def power(self) -> np.ndarray:
-        """Per-antenna power |p|^2 + r^2 carried by this link."""
-        return np.abs(self.p) ** 2 + self.r ** 2
 
 
 @dataclass(frozen=True)
@@ -198,18 +168,6 @@ def phase_ramps(theta, geometry: ArrayGeometry) -> np.ndarray:
     """
     slope = TWO_PI * geometry.spacing_ratio * np.cos(np.asarray(theta, dtype=float))
     return np.mod(slope[:, None] * np.arange(geometry.n_antennas), TWO_PI)
-
-
-def phase_ramp(theta: float, geometry: ArrayGeometry) -> np.ndarray:
-    """Deterministic antenna phases of one cluster at direction theta
-    (see :func:`phase_ramps`).
-
-    Any finite angle is accepted; the result lies in [0, 2*pi).
-    """
-    theta = float(theta)
-    if not np.isfinite(theta):
-        raise ValueError(f"direction must be finite, got {theta!r}")
-    return phase_ramps([theta], geometry)[0]
 
 
 @dataclass(frozen=True)
@@ -277,23 +235,15 @@ def draw_means(table: LinkTable, rng: np.random.Generator) -> np.ndarray:
     return link_means(table, TWO_PI * u[table.phase_at], np.pi * u[table.direction_at])
 
 
-def build_spatial_pair(cluster: ClusterSpec,
-                       geometry: ArrayGeometry,
-                       phase_offset: float = 0.0) -> SpatialPair:
-    """Build the (p, r) vectors of one cluster link: the one-link case of
-    :func:`link_table` and :func:`link_means`.
+def add_links(h: np.ndarray, users, p: np.ndarray, r: np.ndarray, q: np.ndarray):
+    """Add links into the channel tensor h (t_max, f_max, N, K), in order.
 
-    The cluster needs a fixed direction; a "random" cluster raises
-    ValueError.
-
-    Args:
-        cluster: cluster parameters with a fixed direction.
-        geometry: array geometry.
-        phase_offset: common phase added to every antenna; models the
-            unresolved propagation phase of the cluster and leaves both the
-            power budget and the phase slope untouched.
+    Link l adds ``p[l] + r[l] * q[l]`` to the column of user ``users[l]``
+    of every RB, where p and r are (L, N) spatial pairs and q the
+    (L, N, t_max, f_max) grids; users' clusters are summed in the order
+    the links are listed.
     """
-    if cluster.is_random_direction:
-        raise ValueError("cluster direction is 'random'; draw a fixed direction first")
-    table = link_table((UserSpec(clusters=(cluster,)),), geometry)
-    return SpatialPair(p=link_means(table, [phase_offset])[0], r=table.r[0])
+    # transpose, not np.moveaxis: its overhead shows on single-RB scenarios
+    terms = p[:, None, None, :] + r[:, None, None, :] * q.transpose(0, 2, 3, 1)
+    for j, term in zip(users, terms):
+        h[..., j] += term

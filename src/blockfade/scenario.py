@@ -17,10 +17,9 @@ from typing import Optional
 import numpy as np
 
 from . import analytics
-from .assembly import add_links
 from .errors import ConfigError, NumericalError
 from .model import (RANDOM_DIRECTION, ArrayGeometry, ClusterSpec, LinkTable, ResourceGrid,
-                    UserSpec, draw_means, is_int, link_table)
+                    UserSpec, add_links, draw_means, is_int, link_table)
 from .stochastic import CorrelationSpec, check_length, sample_link_grids, substream
 
 ARTIFACT_NAMES = ("histogram", "cross-correlation", "eigencdf",
@@ -32,8 +31,9 @@ DEFAULT_PRESET_SEED = 1000003
 # Largest array a run builds, in entries: the (t_max, f_max, N, K) channel
 # tensor of one realization (2**24 complex entries are 256 MiB), the
 # length x length RB covariance, the bins x bins coefficient histogram and
-# the channel entries of all realizations, which the histogram and
-# raw-channel outputs keep until the end of the run.  A larger scenario is
+# what an output keeps of every realization until the end of the run: the
+# channel (histogram, raw-channel), the per-RB eigenvalues (eigencdf) or
+# the per-RB user-pair magnitudes (cross-correlation).  A larger scenario is
 # a ConfigError at validation, not a failed allocation at run time; every
 # preset, benchmark workload and README example stays far below it.
 MAX_ARRAY_ENTRIES = 2 ** 24
@@ -110,6 +110,13 @@ class ScenarioConfig:
         if {"histogram", "raw-channel"} & set(self.outputs):
             sizes["kept channel realizations*t_max*f_max*n_antennas*users"] = \
                 self.realizations * tensor
+        blocks = self.realizations * self.grid.t_max * self.grid.f_max
+        k = len(users)
+        if "eigencdf" in self.outputs:
+            sizes["eigenvalues realizations*t_max*f_max*users"] = blocks * k
+        if "cross-correlation" in self.outputs:
+            sizes["cross-correlation magnitudes realizations*t_max*f_max*users*(users-1)/2"] \
+                = blocks * k * (k - 1) // 2
         for array, entries in sizes.items():
             if entries > MAX_ARRAY_ENTRIES:
                 raise ConfigError(f"scenario too large: the {array} has {entries} "
@@ -120,7 +127,6 @@ class ScenarioConfig:
                     raise ConfigError(f"users[{j}].clusters[{c}].mean_power: per-antenna "
                                       f"power vector has length {np.size(cluster.mean_power)}, "
                                       f"expected 1 or n_antennas = {n}")
-        k = len(users)
         if k < 2 and any(o in self.outputs for o in ("correlation-matrix", "cross-correlation")):
             raise ConfigError("correlation outputs need at least two users")
 
@@ -251,6 +257,8 @@ def parse_config(text: str) -> ScenarioConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"syntax error at line {exc.lineno}, column {exc.colno}: "
                           f"{exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ConfigError(f"unreadable number: {exc}") from exc
     except RecursionError as exc:
         raise ConfigError("document is nested too deeply") from exc
     return config_from_dict(doc)

@@ -22,7 +22,8 @@ check that a spec fits a resource grid.
 
 The Cholesky factor of a covariance is built once per spec, on first use
 (``CorrelationSpec.lower``), and the correlation itself is one batched
-BLAS ``matmul`` per block of links (``sample_link_grids``).
+BLAS ``matmul`` per block of links (``sample_link_grids``, the one
+sampler; a single link is ``n_links=1``).
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ class CorrelationSpec:
         """Read-only Cholesky factor of the covariance, built on first use.
 
         The spec is frozen, so the factor depends on nothing else: it is
-        kept on the instance and shared by every ``sample_q_block`` call
+        kept on the instance and shared by every ``sample_link_grids`` call
         and thread that uses the spec.
         """
         lower = cholesky_psd(build_covariance(self))
@@ -205,8 +206,11 @@ def sample_link_grids(spec: CorrelationSpec, grid: ResourceGrid, n_antennas: int
     """Correlated grids of ``n_links`` consecutive links, shape
     (n_links, n_antennas, t_max, f_max), from one draw of uniforms.
 
-    The correlation is one batched BLAS product with the spec's cached
-    factor ``L``: ``L @ z`` along time, ``z @ L.T`` along frequency.
+    Per link and antenna, mode "time" makes each column (fixed f) of the
+    grid a CN(0, Sigma) draw, columns independent; mode "frequency" each
+    row; mode "none" all entries i.i.d. CN(0, 1).  The correlation is one
+    batched BLAS product with the spec's cached factor ``L``: ``L @ z``
+    along time, ``z @ L.T`` along frequency.
     """
     check_length(spec, grid)
     z = link_normals(rng, n_links, (n_antennas, grid.t_max, grid.f_max))
@@ -215,18 +219,3 @@ def sample_link_grids(spec: CorrelationSpec, grid: ResourceGrid, n_antennas: int
     if spec.mode == "time":
         return spec.lower @ z
     return z @ spec.lower.T
-
-
-def sample_q_block(spec: CorrelationSpec, grid: ResourceGrid, n_links: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Sample the correlated Gaussian grids of ``n_links`` links in one call.
-
-    Returns an (n_links, t_max, f_max) array.  mode "time": each column
-    (fixed f) of a link's grid is a draw of CN(0, Sigma), columns mutually
-    independent.  mode "frequency": each row is such a draw, rows
-    independent.  mode "none": all entries i.i.d. CN(0, 1).  Stacking
-    several links into one call changes only how the uniform stream is
-    chunked, not the distribution.  It is :func:`sample_link_grids` for one
-    link whose antenna axis holds the ``n_links`` rows.
-    """
-    return sample_link_grids(spec, grid, n_links, 1, rng)[0]

@@ -7,9 +7,10 @@ from dataclasses import replace
 import numpy as np
 
 from blockfade import (ArrayGeometry, ClusterSpec, CorrelationSpec, ResourceGrid,
-                       UserSpec, ScenarioConfig, assemble_channel,
-                       build_spatial_pair, build_covariance, expand_preset, gram,
-                       phase_ramp, run_scenario, sample_q_block, substream)
+                       UserSpec, ScenarioConfig, build_covariance, expand_preset, gram,
+                       run_scenario, substream)
+from blockfade.model import link_means, link_table, phase_ramps
+from blockfade.stochastic import sample_link_grids
 
 
 def announce(criterion: str, ok: bool, detail: str):
@@ -25,9 +26,10 @@ def test_criterion_01_power_budget():
         beta = rng.uniform(0.05, 20.0)
         s = rng.uniform(0.0, 1.0)
         theta = rng.uniform(0.0, np.pi)
-        pair = build_spatial_pair(
-            ClusterSpec(direction=theta, spread_fraction=s, mean_power=beta), geo)
-        worst = max(worst, float(np.abs(pair.power - beta).max() / beta))
+        cluster = ClusterSpec(direction=theta, spread_fraction=s, mean_power=beta)
+        table = link_table((UserSpec(clusters=(cluster,)),), geo)
+        power = np.abs(link_means(table, [0.0])[0]) ** 2 + table.r[0] ** 2
+        worst = max(worst, float(np.abs(power - beta).max() / beta))
     announce("criterion 1: power budget", worst <= 1e-12,
              f"max relative error {worst:.3e} (tol 1e-12)")
 
@@ -37,7 +39,7 @@ def test_criterion_02_phase_slope_law():
     worst = 0.0
     for theta in (0.0, np.pi / 6, np.pi / 3, np.pi / 2):
         slope = (np.pi / 2) * np.cos(theta)
-        diffs = np.mod(np.diff(phase_ramp(theta, geo)), 2 * np.pi)
+        diffs = np.mod(np.diff(phase_ramps([theta], geo)[0]), 2 * np.pi)
         worst = max(worst, float(np.abs(diffs - slope).max()))
     announce("criterion 2: phase-slope law", worst <= 1e-12,
              f"max slope deviation {worst:.3e} (tol 1e-12)")
@@ -45,7 +47,8 @@ def test_criterion_02_phase_slope_law():
 
 def test_criterion_03_covariance_recovery():
     spec = CorrelationSpec.exponential("time", 0.9, 64)
-    q = sample_q_block(spec, ResourceGrid(t_max=64, f_max=10 ** 4), 1, substream(103, 0))[0]
+    q = sample_link_grids(spec, ResourceGrid(t_max=64, f_max=10 ** 4), 1, 1,
+                          substream(103, 0))[0, 0]
     sample_cov = q @ q.conj().T / q.shape[1]
     err = float(np.abs(sample_cov - build_covariance(spec)).max())
     announce("criterion 3: covariance recovery", err <= 0.05,
@@ -77,13 +80,12 @@ def test_criterion_05_deterministic_gram_oracle():
     geo = ArrayGeometry(n_antennas=n, spacing_ratio=0.25)
     rng = substream(105, 0)
     deltas = np.concatenate([[2 * np.pi / n], rng.uniform(0.05, np.pi / 2, 20)])
-    zeros = np.zeros((n, 1, 1), dtype=complex)
     worst = 0.0
     for delta in deltas:
         thetas = (np.pi / 2, float(np.arccos(2 * delta / np.pi)))
-        pairs = [[build_spatial_pair(ClusterSpec(direction=t, spread_fraction=0.0), geo)]
-                 for t in thetas]
-        block = assemble_channel(pairs, [[zeros], [zeros]])[0, 0]
+        users = tuple(UserSpec(clusters=(ClusterSpec(direction=t, spread_fraction=0.0),))
+                      for t in thetas)
+        block = link_means(link_table(users, geo), [0.0, 0.0]).T
         g12 = float(np.abs(gram(block).g[0, 1]))
         expected = abs(np.sin(n * delta / 2) / (n * np.sin(delta / 2)))
         worst = max(worst, abs(g12 - expected))

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from blockfade import (ArrayGeometry, ClusterSpec, NumericalError, build_spatial_pair,
+from blockfade import (ArrayGeometry, ClusterSpec, NumericalError, UserSpec,
                        coefficient_histogram, eigenvalues_hermitian, empirical_cdf, gram,
                        power_profile, substream)
 from blockfade.analytics import average_correlation, pairwise_correlation
+from blockfade.model import link_means, link_table
 from blockfade.stochastic import link_normals
 
 
@@ -170,10 +171,9 @@ class TestCoefficientHistogram:
         assert hist.counts[1, 1] == 1
 
     def test_deterministic_ring(self):
-        pair = build_spatial_pair(
-            ClusterSpec(direction=0.7, spread_fraction=0.0, mean_power=0.81),
-            ArrayGeometry(n_antennas=256))
-        hist = coefficient_histogram(pair.p, bins_per_axis=32)
+        cluster = ClusterSpec(direction=0.7, spread_fraction=0.0, mean_power=0.81)
+        table = link_table((UserSpec(clusters=(cluster,)),), ArrayGeometry(n_antennas=256))
+        hist = coefficient_histogram(link_means(table, [0.0])[0], bins_per_axis=32)
         diag = np.hypot(hist.re_edges[1] - hist.re_edges[0],
                         hist.im_edges[1] - hist.im_edges[0])
         rc, ic = np.meshgrid(hist.re_centers, hist.im_centers, indexing="ij")
@@ -203,9 +203,8 @@ class TestPowerProfile:
 
     def test_fully_deterministic_single_cluster(self):
         beta = np.linspace(0.5, 1.5, 6)
-        pair = build_spatial_pair(
-            ClusterSpec(direction=0.3, spread_fraction=0.0, mean_power=beta),
-            ArrayGeometry(n_antennas=6))
-        blocks = [pair.p[:, None]] * 50
+        cluster = ClusterSpec(direction=0.3, spread_fraction=0.0, mean_power=beta)
+        table = link_table((UserSpec(clusters=(cluster,)),), ArrayGeometry(n_antennas=6))
+        blocks = [link_means(table, [0.0])[0][:, None]] * 50
         assert np.allclose(power_profile(blocks)[:, 0], beta, rtol=1e-12)
 

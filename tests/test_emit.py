@@ -232,7 +232,11 @@ class TestCli:
                      "users": [{"clusters": [{"direction": 0.1, "spread_fraction": 0.5}]}],
                      "grid": {"t_max": 2 ** 10}, "realizations": 2 ** 5 + 1,
                      "outputs": ["histogram"]}).encode(), "too large"),
-    ], ids=["oversized", "not-utf8", "deeply-nested", "kept-realizations"])
+        # one digit past the interpreter's limit on int <-> str conversion
+        (b'{"seed": 1' + b"0" * 4300 + b', "geometry": {"n_antennas": 4}, "users": '
+         b'[{"clusters": [{"direction": 0.1, "spread_fraction": 0.5}]}], '
+         b'"realizations": 1}', "unreadable number"),
+    ], ids=["oversized", "not-utf8", "deeply-nested", "kept-realizations", "huge-integer"])
     def test_unreadable_or_oversized_document_exits_2(self, content, message, tmp_path,
                                                       capsys, monkeypatch):
         import blockfade.cli as cli

@@ -1,9 +1,12 @@
 """The README's examples run: its Python block executes, and its scenario
-document validates and simulates through the command line."""
+document validates and simulates through the command line.  The public
+API is pinned: ``__all__`` resolves and covers what the README imports."""
 
+import ast
 import os
 import re
 
+import blockfade
 from blockfade.cli import main
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -28,3 +31,17 @@ def test_scenario_document_validates_and_simulates(tmp_path):
     assert main(["validate", str(path)]) == 0
     assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "manifest.csv").exists()
+
+
+def test_star_import_resolves_all():
+    namespace = {}
+    exec("from blockfade import *", namespace)
+    assert set(blockfade.__all__) <= set(namespace)
+
+
+def test_readme_imports_only_public_names():
+    (code,) = _blocks("python")
+    imported = {alias.name for node in ast.walk(ast.parse(code))
+                if isinstance(node, ast.ImportFrom) and node.module == "blockfade"
+                for alias in node.names}
+    assert imported and imported <= set(blockfade.__all__)

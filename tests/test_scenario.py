@@ -6,11 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from blockfade import (ConfigError, ScenarioConfig, assemble_channel, build_spatial_pair,
-                       expand_preset, parse_config, run_scenario, sample_q_block,
-                       substream)
+from blockfade import (ConfigError, ScenarioConfig, UserSpec, expand_preset, parse_config,
+                       run_scenario, substream)
+from blockfade.model import link_means, link_table
 from blockfade.scenario import (ARTIFACT_NAMES, DRAW_BLOCK_UNIFORMS, MAX_ARRAY_ENTRIES,
                                 PRESET_NAMES, config_to_dict)
+from blockfade.stochastic import sample_link_grids
 
 MINIMAL = {
     "seed": 7,
@@ -158,9 +159,26 @@ class TestParseConfig:
         else:
             with pytest.raises(ConfigError, match="too large"):
                 parse_config(json.dumps(doc))
-        # outputs reduced per realization keep nothing, so they have no such term
+        # power-profile keeps no channel, so the kept-channel term does not apply
         doc["outputs"] = ["power-profile"]
         parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize("output, limit, array", [
+        ("eigencdf", 2 ** 9, "eigenvalues"),  # K = 2 eigenvalues per RB
+        ("cross-correlation", 2 ** 10, "cross-correlation magnitudes"),  # 1 pair per RB
+    ], ids=["eigencdf", "cross-correlation"])
+    @pytest.mark.parametrize("past", [0, 1], ids=["at-limit", "one-past"])
+    def test_size_limit_of_kept_statistics(self, output, limit, array, past):
+        # eigencdf and cross-correlation keep per-RB values of every
+        # realization: here realizations * 2**14 RBs * (2 or 1)
+        doc = _doc(geometry={"n_antennas": 1}, grid={"t_max": 2 ** 14},
+                   realizations=limit + past, outputs=[output])
+        doc["users"] *= 2
+        if not past:
+            parse_config(json.dumps(doc))
+        else:
+            with pytest.raises(ConfigError, match=f"too large: the {array}"):
+                parse_config(json.dumps(doc))
 
 
 class TestRoundTrip:
@@ -199,7 +217,7 @@ class TestPresets:
         assert a.geometry.n_antennas == b.geometry.n_antennas == 128
         assert c.geometry.n_antennas == d.geometry.n_antennas == 20
         for nlos, los in ((a, b), (c, d)):
-            assert all(u.n_clusters == 3 for u in nlos.users + los.users)
+            assert all(len(u.clusters) == 3 for u in nlos.users + los.users)
             powers_n = [cl.mean_power for u in nlos.users for cl in u.clusters]
             powers_l = [cl.mean_power for u in los.users for cl in u.clusters]
             assert powers_n == powers_l
@@ -328,26 +346,26 @@ class TestRunScenario:
 
 
 def _reference_channels(config) -> np.ndarray:
-    """(R, t_max, f_max, N, K) channel tensors built link by link with the
-    public single-link functions, in the documented draw order: per
-    (user, cluster) the direction of a "random" cluster and the phase, then
-    per (user, cluster) the link grid."""
-    geometry = config.geometry
+    """(R, t_max, f_max, N, K) channel tensors built link by link, in the
+    documented draw order: per (user, cluster) the direction of a "random"
+    cluster and the phase, then per (user, cluster) the link grid."""
+    geometry, grid = config.geometry, config.grid
+    n = geometry.n_antennas
     out = []
     for index in range(config.realizations):
         rng = substream(config.seed, index)
-        pairs = []
-        for user in config.users:
-            row = []
+        links = []
+        for j, user in enumerate(config.users):
             for cluster in user.clusters:
-                if cluster.is_random_direction:
-                    cluster = replace(cluster, direction=rng.uniform(0.0, np.pi))
-                row.append(build_spatial_pair(cluster, geometry,
-                                              phase_offset=rng.uniform(0.0, 2.0 * np.pi)))
-            pairs.append(row)
-        grids = [[sample_q_block(config.correlation, config.grid, geometry.n_antennas, rng)
-                  for _ in user.clusters] for user in config.users]
-        out.append(assemble_channel(pairs, grids))
+                table = link_table((UserSpec(clusters=(cluster,)),), geometry)
+                direction = [rng.uniform(0.0, np.pi)] if cluster.is_random_direction else []
+                p = link_means(table, [rng.uniform(0.0, 2.0 * np.pi)], direction)[0]
+                links.append((j, p, table.r[0]))
+        h = np.zeros((grid.t_max, grid.f_max, n, config.n_users), dtype=complex)
+        for j, p, r in links:
+            q = sample_link_grids(config.correlation, grid, n, 1, rng)[0]
+            h[..., j] += p + r * q.transpose(1, 2, 0)
+        out.append(h)
     return np.array(out)
 
 
@@ -374,7 +392,7 @@ class TestRealizationKernel:
             users.append({"clusters": [fixed, random] if j % 2 else [random, fixed, fixed]})
         config = parse_config(json.dumps(_doc(geometry={"n_antennas": n}, users=users,
                                               realizations=4, seed=21)))
-        assert sum(u.n_clusters for u in config.users) <= _links_per_draw(config)
+        assert sum(len(u.clusters) for u in config.users) <= _links_per_draw(config)
         assert _kernel_channels(config).tobytes() == _reference_channels(config).tobytes()
 
     @pytest.mark.parametrize("mode, length", [("time", 14), ("frequency", 12)])

@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from blockfade import (CorrelationSpec, NumericalError, ResourceGrid,
-                       build_covariance, cholesky_psd, sample_q_block, substream)
-from blockfade.stochastic import link_normals
+from blockfade import (CorrelationSpec, NumericalError, ResourceGrid, build_covariance,
+                       cholesky_psd, substream)
+from blockfade.stochastic import link_normals, sample_link_grids
+
 
 
 class TestBuildCovariance:
@@ -107,23 +108,24 @@ class TestComplexNormal:
 
 class TestSampleQBlock:
     def test_iid_mode_moments(self):
-        q = sample_q_block(CorrelationSpec.none(), ResourceGrid(t_max=100, f_max=1000), 1,
-                           substream(23, 0))[0]
+        q = sample_link_grids(CorrelationSpec.none(), ResourceGrid(t_max=100, f_max=1000),
+                              1, 1, substream(23, 0))[0, 0]
         assert q.shape == (100, 1000)
         assert np.abs(q.mean()) <= 5 / np.sqrt(q.size)
         assert abs(np.mean(np.abs(q) ** 2) - 1.0) <= 0.02
 
     def test_lag_one_autocorrelation(self):
         spec = CorrelationSpec.exponential("time", 0.9, 64)
-        q = sample_q_block(spec, ResourceGrid(t_max=64, f_max=10 ** 4), 1, substream(23, 1))[0]
+        q = sample_link_grids(spec, ResourceGrid(t_max=64, f_max=10 ** 4), 1, 1,
+                              substream(23, 1))[0, 0]
         r1 = np.mean(q[1:, :] * q[:-1, :].conj()).real
         assert 0.87 <= r1 <= 0.93
 
     def test_single_block_time_matches_iid(self):
         grid = ResourceGrid(t_max=1, f_max=512)
-        a = sample_q_block(CorrelationSpec.exponential("time", 0.7, 1), grid, 1,
-                           substream(9, 4))[0]
-        b = sample_q_block(CorrelationSpec.none(), grid, 1, substream(9, 4))[0]
+        a = sample_link_grids(CorrelationSpec.exponential("time", 0.7, 1), grid, 1, 1,
+                              substream(9, 4))[0, 0]
+        b = sample_link_grids(CorrelationSpec.none(), grid, 1, 1, substream(9, 4))[0, 0]
         # 1x1 covariance factors to (nearly) 1; identical stream, same draws
         assert np.allclose(a, b, rtol=1e-6)
 
@@ -131,8 +133,8 @@ class TestSampleQBlock:
     def test_covariance_recovery(self, rho):
         n = 4
         spec = CorrelationSpec.exponential("time", rho, n)
-        q = sample_q_block(spec, ResourceGrid(t_max=n, f_max=10 ** 4), 1,
-                           substream(31, int(rho * 10)))[0]
+        q = sample_link_grids(spec, ResourceGrid(t_max=n, f_max=10 ** 4), 1, 1,
+                              substream(31, int(rho * 10)))[0, 0]
         sample_cov = q @ q.conj().T / q.shape[1]
         target = build_covariance(spec)
         assert np.abs(sample_cov - target).max() <= 0.05
@@ -140,8 +142,8 @@ class TestSampleQBlock:
     def test_frequency_mode_correlates_rows(self):
         n = 4
         spec = CorrelationSpec.exponential("frequency", 0.8, n)
-        q = sample_q_block(spec, ResourceGrid(t_max=10 ** 4, f_max=n), 1,
-                           substream(31, 9))[0]
+        q = sample_link_grids(spec, ResourceGrid(t_max=10 ** 4, f_max=n), 1, 1,
+                              substream(31, 9))[0, 0]
         sample_cov = q.T.conj() @ q / q.shape[0]
         target = build_covariance(spec)
         assert np.abs(sample_cov.T - target).max() <= 0.05
@@ -155,7 +157,7 @@ class TestSampleQBlock:
          ResourceGrid(t_max=4, f_max=2)),
     ], ids=["time", "frequency", "custom-time", "custom-frequency"])
     def test_matches_einsum_oracle(self, spec, grid):
-        q = sample_q_block(spec, grid, 7, substream(41, 2))
+        q = sample_link_grids(spec, grid, 7, 1, substream(41, 2))[0]
         # the same substream gives the same draws; the product is the explicit sum
         z = link_normals(substream(41, 2), 1, (7, grid.t_max, grid.f_max))[0]
         lower = cholesky_psd(build_covariance(spec))
@@ -182,18 +184,18 @@ class TestSampleQBlock:
     def test_length_mismatch_rejected(self):
         spec = CorrelationSpec.exponential("time", 0.5, 8)
         with pytest.raises(ValueError, match="length"):
-            sample_q_block(spec, ResourceGrid(t_max=4, f_max=1), 1, substream(1, 0))
+            sample_link_grids(spec, ResourceGrid(t_max=4, f_max=1), 1, 1, substream(1, 0))
 
     def test_block_sampling_shape(self):
         grid = ResourceGrid(t_max=3, f_max=2)
-        block = sample_q_block(CorrelationSpec.none(), grid, 5, substream(2, 0))
+        block = sample_link_grids(CorrelationSpec.none(), grid, 5, 1, substream(2, 0))[0]
         assert block.shape == (5, 3, 2)
         assert abs(np.mean(np.abs(block) ** 2) - 1.0) <= 0.4  # coarse moment sanity
 
     def test_independence_across_substreams(self):
         grid = ResourceGrid(t_max=1, f_max=10 ** 4)
-        a = sample_q_block(CorrelationSpec.none(), grid, 1, substream(77, 0, 0)).ravel()
-        b = sample_q_block(CorrelationSpec.none(), grid, 1, substream(77, 0, 1)).ravel()
+        a = sample_link_grids(CorrelationSpec.none(), grid, 1, 1, substream(77, 0, 0)).ravel()
+        b = sample_link_grids(CorrelationSpec.none(), grid, 1, 1, substream(77, 0, 1)).ravel()
         cross = np.abs(np.mean(a * b.conj()))
         assert cross <= 0.05
 
