@@ -11,9 +11,8 @@ output it returns the channels themselves.
 
 __version__ = "0.1.0"
 
-from .analytics import (EmpiricalCDF, GramStats, Histogram2D, UserCorrelationMatrix,
-                        coefficient_histogram, eigenvalues_hermitian, empirical_cdf,
-                        gram, power_profile)
+from .analytics import (coefficient_histogram, eigenvalues_hermitian, empirical_cdf, gram,
+                        power_profile)
 from .errors import ConfigError, NumericalError
 from .model import RANDOM_DIRECTION, ArrayGeometry, ClusterSpec, ResourceGrid, UserSpec
 from .scenario import (ReportBundle, ScenarioConfig, expand_preset, parse_config,
@@ -21,11 +20,9 @@ from .scenario import (ReportBundle, ScenarioConfig, expand_preset, parse_config
 from .stochastic import CorrelationSpec, build_covariance, cholesky_psd, substream
 
 __all__ = [
-    "ArrayGeometry", "ClusterSpec", "ConfigError", "CorrelationSpec",
-    "EmpiricalCDF", "GramStats", "Histogram2D", "NumericalError",
-    "RANDOM_DIRECTION", "ReportBundle", "ResourceGrid", "ScenarioConfig",
-    "UserCorrelationMatrix", "UserSpec", "build_covariance", "cholesky_psd",
-    "coefficient_histogram", "eigenvalues_hermitian", "empirical_cdf",
-    "expand_preset", "gram", "parse_config", "power_profile", "run_scenario",
-    "substream",
+    "ArrayGeometry", "ClusterSpec", "ConfigError", "CorrelationSpec", "NumericalError",
+    "RANDOM_DIRECTION", "ReportBundle", "ResourceGrid", "ScenarioConfig", "UserSpec",
+    "build_covariance", "cholesky_psd", "coefficient_histogram", "eigenvalues_hermitian",
+    "empirical_cdf", "expand_preset", "gram", "parse_config", "power_profile",
+    "run_scenario", "substream",
 ]

@@ -2,16 +2,16 @@
 eigenvalues, empirical CDFs, complex-plane coefficient histograms, and
 per-antenna average power profiles.
 
-The per-matrix statistics accept one N x K channel matrix or a stack
-(..., N, K) of them, such as the (t_max, f_max, N, K) tensor of one
-realization, and work on the whole stack at once.  Means over realizations
-or resource blocks accumulate in a fixed order (:func:`ordered_mean`), so
-threaded runs reduce bit for bit like sequential ones.
+Every statistic is a numpy array, or a dict of arrays where it has several
+parts (a histogram's edges and counts).  The per-matrix statistics accept
+one N x K channel matrix or a stack (..., N, K) of them, such as the
+(t_max, f_max, N, K) tensor of one realization, and work on the whole stack
+at once.  Means over realizations or resource blocks accumulate in a fixed
+order (:func:`ordered_mean`), so threaded runs reduce bit for bit like
+sequential ones.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,74 +20,12 @@ from .errors import NumericalError
 HERMITIAN_INPUT_TOLERANCE = 1e-10
 
 
-@dataclass(frozen=True)
-class GramStats:
-    """Gram matrix G = (1/N) H^H H with its partition into diagonal and
-    off-diagonal magnitudes; every field carries the stack axes of H."""
-
-    g: np.ndarray
-    offdiag_mags: np.ndarray
-
-
-@dataclass(frozen=True)
-class EmpiricalCDF:
-    """Right-continuous empirical CDF of the sorted samples ``values``: at a
-    sample value x it is (#samples <= x) / n."""
-
-    values: np.ndarray
-
-    def points(self):
-        """(value, cdf) pairs at the unique sample values."""
-        uniq, counts = np.unique(self.values, return_counts=True)
-        return uniq, np.cumsum(counts) / len(self.values)
-
-
-@dataclass(frozen=True)
-class Histogram2D:
-    """2-D histogram on a uniform square grid symmetric about the origin."""
-
-    re_edges: np.ndarray
-    im_edges: np.ndarray
-    counts: np.ndarray
-
-    @property
-    def re_centers(self) -> np.ndarray:
-        return 0.5 * (self.re_edges[:-1] + self.re_edges[1:])
-
-    @property
-    def im_centers(self) -> np.ndarray:
-        return 0.5 * (self.im_edges[:-1] + self.im_edges[1:])
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-@dataclass(frozen=True)
-class UserCorrelationMatrix:
-    """K x K symmetric matrix of mean normalized inner-product magnitudes,
-    unit diagonal."""
-
-    values: np.ndarray
-
-    @property
-    def mean_offdiagonal(self) -> float:
-        k = self.values.shape[0]
-        off = self.values[~np.eye(k, dtype=bool)]
-        return float(off.mean())
-
-
-def gram(h) -> GramStats:
-    """Gram statistics G = (1/N) H^H H of a channel matrix or stack.
-
-    The product is symmetrized to make the stored matrix exactly Hermitian;
-    the off-diagonal magnitudes are taken from the upper triangle.
-    """
+def gram(h) -> np.ndarray:
+    """Gram matrix G = (1/N) H^H H of a channel matrix or stack, shape
+    (..., K, K), symmetrized so that it is exactly Hermitian."""
     matrix = np.asarray(h, dtype=complex)
     g = np.conj(matrix).swapaxes(-1, -2) @ matrix / matrix.shape[-2]
-    g = 0.5 * (g + np.conj(g).swapaxes(-1, -2))
-    iu = np.triu_indices(g.shape[-1], 1)
-    return GramStats(g=g, offdiag_mags=np.abs(g[..., iu[0], iu[1]]))
+    return 0.5 * (g + np.conj(g).swapaxes(-1, -2))
 
 
 def eigenvalues_hermitian(g) -> np.ndarray:
@@ -117,12 +55,13 @@ def eigenvalues_hermitian(g) -> np.ndarray:
     return eig
 
 
-def empirical_cdf(samples) -> EmpiricalCDF:
-    """Empirical CDF of a real sample multiset."""
+def empirical_cdf(samples) -> np.ndarray:
+    """Sorted samples of a real multiset: the empirical CDF at a sample value
+    x is (#samples <= x) / n."""
     values = np.sort(np.asarray(samples, dtype=float).ravel())
     if values.size == 0:
         raise ValueError("empirical_cdf needs at least one sample")
-    return EmpiricalCDF(values=values)
+    return values
 
 
 def pairwise_correlation(h) -> np.ndarray:
@@ -145,19 +84,21 @@ def ordered_mean(arrays) -> np.ndarray:
     return sum(arrays) / len(arrays)
 
 
-def average_correlation(per_realization) -> UserCorrelationMatrix:
-    """User correlation matrix from per-realization K x K correlation
+def average_correlation(per_realization) -> np.ndarray:
+    """K x K user correlation matrix from per-realization correlation
     magnitudes: their ordered mean, symmetrized, with the diagonal forced to
     exactly 1."""
     acc = ordered_mean(per_realization)
     acc = 0.5 * (acc + acc.T)
     np.fill_diagonal(acc, 1.0)
-    return UserCorrelationMatrix(values=acc)
+    return acc
 
 
-def coefficient_histogram(values, bins_per_axis: int = 64) -> Histogram2D:
+def coefficient_histogram(values, bins_per_axis: int = 64) -> dict:
     """2-D histogram of complex coefficients on the bounding square of the
-    samples, symmetric about 0."""
+    samples, symmetric about 0: ``{"edges", "counts"}``, where ``edges`` bound
+    both the real and the imaginary axis and ``counts[i, j]`` counts real bin
+    i and imaginary bin j."""
     v = np.asarray(values).ravel()
     if v.size == 0:
         raise ValueError("coefficient_histogram needs at least one sample")
@@ -168,8 +109,7 @@ def coefficient_histogram(values, bins_per_axis: int = 64) -> Histogram2D:
         half = 1.0
     edges = np.linspace(-half, half, bins_per_axis + 1)
     counts, _, _ = np.histogram2d(v.real, v.imag, bins=[edges, edges])
-    return Histogram2D(re_edges=edges, im_edges=edges.copy(),
-                       counts=counts.astype(np.int64))
+    return {"edges": edges, "counts": counts.astype(np.int64)}
 
 
 def power_profile(realizations) -> np.ndarray:

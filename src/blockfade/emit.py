@@ -25,21 +25,30 @@ def fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def histogram_rows(hist) -> Iterable[str]:
-    rc, ic = hist.re_centers, hist.im_centers
-    for (i, j), count in np.ndenumerate(hist.counts):
-        yield f"{fmt(rc[i])},{fmt(ic[j])},{count}"
+def _centers(edges: np.ndarray) -> np.ndarray:
+    return 0.5 * (edges[:-1] + edges[1:])
 
 
-def ecdf_rows(cdf) -> Iterable[str]:
-    values, probs = cdf.points()
-    for v, p in zip(values, probs):
+def _cdf_points(values: np.ndarray) -> tuple:
+    """(value, cdf) pairs of sorted samples at their unique values: the
+    right-continuous empirical CDF (#samples <= value) / n."""
+    uniq, counts = np.unique(values, return_counts=True)
+    return uniq, np.cumsum(counts) / len(values)
+
+
+def histogram_rows(hist: dict) -> Iterable[str]:
+    centers = _centers(hist["edges"])
+    for (i, j), count in np.ndenumerate(hist["counts"]):
+        yield f"{fmt(centers[i])},{fmt(centers[j])},{count}"
+
+
+def ecdf_rows(values: np.ndarray) -> Iterable[str]:
+    for v, p in zip(*_cdf_points(values)):
         yield f"{fmt(v)},{fmt(p)}"
 
 
-def xcorr_rows(payload) -> Iterable[str]:
-    centers = 0.5 * (payload["edges"][:-1] + payload["edges"][1:])
-    for c, n in zip(centers, payload["counts"]):
+def xcorr_rows(payload: dict) -> Iterable[str]:
+    for c, n in zip(_centers(payload["edges"]), payload["counts"]):
         yield f"{fmt(c)},{int(n)}"
 
 
@@ -48,8 +57,8 @@ def power_profile_rows(profile: np.ndarray) -> Iterable[str]:
         yield f"{i + 1},{j + 1},{fmt(power)}"
 
 
-def correlation_rows(matrix) -> Iterable[str]:
-    for row in matrix.values:
+def correlation_rows(matrix: np.ndarray) -> Iterable[str]:
+    for row in matrix:
         yield ",".join(fmt(x) for x in row)
 
 
@@ -115,36 +124,34 @@ def svg_polylines(series, x_range, y_range) -> str:
     return _svg("".join(parts))
 
 
-def svg_heatmap(hist) -> str:
-    counts = hist.counts
+def svg_heatmap(hist: dict) -> str:
+    edges, counts = hist["edges"], hist["counts"]
     peak = counts.max()
-    re0, re1 = hist.re_edges[0], hist.re_edges[-1]
-    im0, im1 = hist.im_edges[0], hist.im_edges[-1]
-    parts = [_axes(re0, re1, im0, im1)]
+    lo, hi = edges[0], edges[-1]
+    parts = [_axes(lo, hi, lo, hi)]
     if peak > 0:
         nz = np.argwhere(counts > 0)
         for i, j in nz:
-            x = _scale(hist.re_edges[i], re0, re1, _M, _W - _M)
-            x2 = _scale(hist.re_edges[i + 1], re0, re1, _M, _W - _M)
-            y = _scale(hist.im_edges[j + 1], im0, im1, _H - _M, _M)
-            y2 = _scale(hist.im_edges[j], im0, im1, _H - _M, _M)
+            x = _scale(edges[i], lo, hi, _M, _W - _M)
+            x2 = _scale(edges[i + 1], lo, hi, _M, _W - _M)
+            y = _scale(edges[j + 1], lo, hi, _H - _M, _M)
+            y2 = _scale(edges[j], lo, hi, _H - _M, _M)
             shade = int(235 * (1.0 - counts[i, j] / peak))
             parts.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="{x2 - x:.2f}" '
                          f'height="{y2 - y:.2f}" fill="rgb({shade},{shade},255)"/>\n')
     return _svg("".join(parts))
 
 
-def svg_ecdf(cdf) -> str:
-    values, probs = cdf.points()
-    return svg_polylines([(values, probs)],
-                         (float(values[0]), float(values[-1])), (0.0, 1.0))
+def svg_ecdf(values: np.ndarray) -> str:
+    points, probs = _cdf_points(values)
+    return svg_polylines([(points, probs)],
+                         (float(points[0]), float(points[-1])), (0.0, 1.0))
 
 
-def svg_xcorr(payload) -> str:
-    centers = 0.5 * (payload["edges"][:-1] + payload["edges"][1:])
+def svg_xcorr(payload: dict) -> str:
     counts = payload["counts"]
     top = max(1, int(counts.max()))
-    return svg_polylines([(centers, counts)],
+    return svg_polylines([(_centers(payload["edges"]), counts)],
                          (float(payload["edges"][0]), float(payload["edges"][-1])),
                          (0.0, float(top)))
 

@@ -29,13 +29,16 @@ DEFAULT_BINS = 64
 DEFAULT_PRESET_SEED = 1000003
 
 # Largest array a run builds, in entries: the (t_max, f_max, N, K) channel
-# tensor of one realization (2**24 complex entries are 256 MiB), the
-# length x length RB covariance, the bins x bins coefficient histogram and
-# what an output keeps of every realization until the end of the run: the
-# channel (histogram, raw-channel), the per-RB eigenvalues (eigencdf) or
-# the per-RB user-pair magnitudes (cross-correlation).  A larger scenario is
-# a ConfigError at validation, not a failed allocation at run time; every
-# preset, benchmark workload and README example stays far below it.
+# tensor of one realization (2**24 complex entries are 256 MiB), its
+# (t_max, f_max, K, K) per-RB Gram or correlation stack, the length x length
+# RB covariance, the bins x bins coefficient histogram and what an output
+# keeps of every realization until the end of the run: the channel
+# (histogram, raw-channel), the per-RB eigenvalues (eigencdf), the per-RB
+# user-pair magnitudes (cross-correlation), the (N, K) power profile
+# (power-profile) or the (K, K) correlation matrix (correlation-matrix).
+# A larger scenario is a ConfigError at validation, not a failed allocation
+# at run time; every preset, benchmark workload and README example stays
+# far below it.
 MAX_ARRAY_ENTRIES = 2 ** 24
 
 # Uniforms per link-grid draw (512 KiB): a realization draws its link grids
@@ -117,6 +120,13 @@ class ScenarioConfig:
         if "cross-correlation" in self.outputs:
             sizes["cross-correlation magnitudes realizations*t_max*f_max*users*(users-1)/2"] \
                 = blocks * k * (k - 1) // 2
+        if {"eigencdf", "cross-correlation", "correlation-matrix"} & set(self.outputs):
+            sizes["per-RB Gram stack t_max*f_max*users**2"] = \
+                self.grid.t_max * self.grid.f_max * k * k
+        if "power-profile" in self.outputs:
+            sizes["power profiles realizations*n_antennas*users"] = self.realizations * n * k
+        if "correlation-matrix" in self.outputs:
+            sizes["correlation matrices realizations*users**2"] = self.realizations * k * k
         for array, entries in sizes.items():
             if entries > MAX_ARRAY_ENTRIES:
                 raise ConfigError(f"scenario too large: the {array} has {entries} "
@@ -435,11 +445,12 @@ def _realize(config: ScenarioConfig, links: LinkTable, index: int, needs: set,
 
         out = {}
         if needs & {"cross-correlation", "eigencdf"}:
-            stats = analytics.gram(h)
+            g = analytics.gram(h)
             if "cross-correlation" in needs:
-                out["offdiag"] = stats.offdiag_mags.ravel()
+                iu = np.triu_indices(config.n_users, 1)
+                out["offdiag"] = np.abs(g[..., iu[0], iu[1]]).ravel()
             if "eigencdf" in needs:
-                out["eigen"] = analytics.eigenvalues_hermitian(stats.g).ravel()
+                out["eigen"] = analytics.eigenvalues_hermitian(g).ravel()
         if "power-profile" in needs:
             out["power"] = analytics.power_profile(h)
         if "correlation-matrix" in needs:
@@ -453,8 +464,7 @@ def _require_finite(artifacts: dict):
     """Raise NumericalError if an artifact holds nan or inf, as a reduction
     over overflowing channel powers does."""
     for name, payload in artifacts.items():
-        arrays = (payload.values() if isinstance(payload, dict) else
-                  [payload] if isinstance(payload, np.ndarray) else vars(payload).values())
+        arrays = payload.values() if isinstance(payload, dict) else [payload]
         if not all(np.isfinite(a).all() for a in arrays):
             raise NumericalError(f"{name} is not finite: a channel power overflowed")
 

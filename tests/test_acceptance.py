@@ -86,7 +86,7 @@ def test_criterion_05_deterministic_gram_oracle():
         users = tuple(UserSpec(clusters=(ClusterSpec(direction=t, spread_fraction=0.0),))
                       for t in thetas)
         block = link_means(link_table(users, geo), [0.0, 0.0]).T
-        g12 = float(np.abs(gram(block).g[0, 1]))
+        g12 = float(np.abs(gram(block)[0, 1]))
         expected = abs(np.sin(n * delta / 2) / (n * np.sin(delta / 2)))
         worst = max(worst, abs(g12 - expected))
     announce("criterion 5: deterministic Gram oracle", worst <= 1e-10,
@@ -95,10 +95,11 @@ def test_criterion_05_deterministic_gram_oracle():
 
 
 def _band_mass(hist, lo=0.7, hi=1.3) -> float:
-    rc, ic = np.meshgrid(hist.re_centers, hist.im_centers, indexing="ij")
+    centers = 0.5 * (hist["edges"][:-1] + hist["edges"][1:])
+    rc, ic = np.meshgrid(centers, centers, indexing="ij")
     radii = np.hypot(rc, ic)
     inside = (radii >= lo) & (radii <= hi)
-    return float(hist.counts[inside].sum() / hist.total)
+    return float(hist["counts"][inside].sum() / hist["counts"].sum())
 
 
 def test_criterion_06_ring_histograms():
@@ -126,7 +127,7 @@ def test_criterion_07_correlation_matrix_family():
         for name in runs:
             config = expand_preset(name, seed=7000 + k)
             matrix = run_scenario(config, threads=2).artifacts["correlation-matrix"]
-            runs[name].append(matrix.mean_offdiagonal)
+            runs[name].append(float(matrix[~np.eye(len(matrix), dtype=bool)].mean()))
     a, b, c, d = (np.array(runs[n]) for n in ("paper-A", "paper-B", "paper-C", "paper-D"))
     counts = {"C>A": int((c > a).sum()), "D>B": int((d > b).sum()),
               "A>B": int((a > b).sum()), "C>D": int((c > d).sum())}
@@ -141,7 +142,7 @@ def test_criterion_07_correlation_matrix_family():
 
 def _pooled_eigen(config) -> np.ndarray:
     bundle = run_scenario(replace(config, outputs=("eigencdf",)), threads=4)
-    return bundle.artifacts["eigencdf"].values
+    return bundle.artifacts["eigencdf"]
 
 
 def test_criterion_08_eigenvalue_cdf_shape():
@@ -169,7 +170,7 @@ def test_criterion_08_eigenvalue_cdf_shape():
                       for _ in range(6))
         config = ScenarioConfig(seed=108 + i, geometry=ArrayGeometry(n_antennas=128),
                                 users=users, realizations=400, outputs=("eigencdf",))
-        eig = run_scenario(config, threads=4).artifacts["eigencdf"].values
+        eig = run_scenario(config, threads=4).artifacts["eigencdf"]
         iqrs.append(iqr(eig))
     decreases = sum(b < a for a, b in zip(iqrs, iqrs[1:]))
     sweep_ok = decreases >= 4 and iqrs[-1] < 0.5 * iqrs[0]

@@ -7,6 +7,7 @@ from blockfade import (ArrayGeometry, ClusterSpec, NumericalError, UserSpec,
                        coefficient_histogram, eigenvalues_hermitian, empirical_cdf, gram,
                        power_profile, substream)
 from blockfade.analytics import average_correlation, pairwise_correlation
+from blockfade.emit import ecdf_rows
 from blockfade.model import link_means, link_table
 from blockfade.stochastic import link_normals
 
@@ -22,17 +23,17 @@ class TestGram:
         # DFT slopes are exactly orthogonal
         n, k = 8, 4
         h = _ramp_matrix(n, 2 * np.pi * np.arange(k) / n)
-        stats = gram(h)
-        assert np.allclose(stats.g, np.eye(k), atol=1e-12)
-        assert np.allclose(stats.g.diagonal(), 1.0)
-        assert np.allclose(stats.offdiag_mags, 0.0, atol=1e-12)
+        g = gram(h)
+        assert np.allclose(g, np.eye(k), atol=1e-12)
+        assert np.allclose(g.diagonal(), 1.0)
+        assert np.allclose(np.abs(g[np.triu_indices(k, 1)]), 0.0, atol=1e-12)
 
     def test_dirichlet_kernel_closed_form(self):
         rng = np.random.default_rng(5)
         n = 64
         for delta in rng.uniform(0.05, np.pi / 2, 10):
             h = _ramp_matrix(n, [0.0, delta])
-            g12 = np.abs(gram(h).g[0, 1])
+            g12 = np.abs(gram(h)[0, 1])
             expected = abs(np.sin(n * delta / 2) / (n * np.sin(delta / 2)))
             assert abs(g12 - expected) <= 1e-12
 
@@ -42,15 +43,15 @@ class TestGram:
         vals = np.empty(m)
         for i in range(m):
             h = link_normals(rng, 1, (n, k))[0]
-            vals[i] = gram(h).offdiag_mags[0] ** 2
+            vals[i] = np.abs(gram(h)[0, 1]) ** 2
         assert abs(vals.mean() - 1 / n) <= 0.1 / n
 
     def test_hermitian_closure_and_trace(self):
         rng = substream(8, 1)
         h = link_normals(rng, 1, (16, 5))[0]
-        stats = gram(h)
-        assert np.array_equal(stats.g, stats.g.conj().T)
-        trace = stats.g.trace().real
+        g = gram(h)
+        assert np.array_equal(g, g.conj().T)
+        trace = g.trace().real
         assert abs(trace - np.linalg.norm(h) ** 2 / 16) <= 1e-10 * max(1.0, trace)
 
 
@@ -87,8 +88,8 @@ class TestEigenvaluesHermitian:
     def test_scale_equivariance(self):
         rng = np.random.default_rng(14)
         x = rng.standard_normal((48, 4)) + 1j * rng.standard_normal((48, 4))
-        base = eigenvalues_hermitian(gram(x).g)
-        scaled = eigenvalues_hermitian(gram(2.5 * x).g)
+        base = eigenvalues_hermitian(gram(x))
+        scaled = eigenvalues_hermitian(gram(2.5 * x))
         assert np.allclose(scaled, 2.5 ** 2 * base, rtol=1e-10)
 
     def test_rejects_non_hermitian(self):
@@ -106,26 +107,24 @@ class TestEigenvaluesHermitian:
 
 
 class TestEmpiricalCDF:
+    # empirical_cdf returns the sorted samples; the CSV rows (value, cdf)
+    # at the unique values come from emit.ecdf_rows
     def test_point_mass(self):
-        values, probs = empirical_cdf([1, 1, 1]).points()
-        assert np.array_equal(values, [1.0])
-        assert np.array_equal(probs, [1.0])
+        assert list(ecdf_rows(empirical_cdf([1, 1, 1]))) == ["1,1"]
 
     def test_step_midpoint(self):
         cdf = empirical_cdf([4, 2, 3, 1])
-        assert np.array_equal(cdf.values, [1.0, 2.0, 3.0, 4.0])
-        values, probs = cdf.points()
-        assert probs[values <= 2.5][-1] == 0.5
+        assert np.array_equal(cdf, [1.0, 2.0, 3.0, 4.0])
+        assert (cdf <= 2.5).mean() == 0.5
 
     def test_exponential_median(self):
         q = link_normals(substream(16, 0), 1, (10 ** 4,))[0]
-        values, probs = empirical_cdf(np.abs(q) ** 2).points()
-        assert abs(probs[values <= np.log(2)][-1] - 0.5) <= 0.02
+        cdf = empirical_cdf(np.abs(q) ** 2)
+        assert abs((cdf <= np.log(2)).mean() - 0.5) <= 0.02
 
     def test_points_deduplicate(self):
-        values, probs = empirical_cdf([2.0, 1.0, 2.0]).points()
-        assert np.array_equal(values, [1.0, 2.0])
-        assert np.allclose(probs, [1 / 3, 1.0])
+        rows = list(ecdf_rows(empirical_cdf([2.0, 1.0, 2.0])))
+        assert rows == ["1,0.33333333333333331", "2,1"]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -140,14 +139,14 @@ class TestUserCorrelation:
     def test_identical_users(self):
         h = link_normals(substream(17, 0), 1, (8, 1))[0]
         corr = self.user_correlation(np.hstack([h, h])[None])
-        assert corr.values[0, 1] == pytest.approx(1.0, abs=1e-12)
-        assert corr.values[0, 0] == 1.0
+        assert corr[0, 1] == pytest.approx(1.0, abs=1e-12)
+        assert corr[0, 0] == 1.0
 
     def test_full_period_slope_offset_is_orthogonal(self):
         n = 32
         h = _ramp_matrix(n, [0.0, 2 * np.pi / n])
         corr = self.user_correlation(h[None])
-        assert corr.values[0, 1] <= 1e-10
+        assert corr[0, 1] <= 1e-10
 
     def test_degenerate_user_rejected(self):
         h = np.zeros((4, 2), complex)
@@ -160,31 +159,33 @@ class TestUserCorrelation:
         def mean_corr(n):
             rng = substream(18, n)
             h = np.stack([link_normals(rng, 1, (n, 2))[0] for _ in range(300)])
-            return self.user_correlation(h).mean_offdiagonal
+            corr = self.user_correlation(h)
+            return corr[~np.eye(2, dtype=bool)].mean()
         assert mean_corr(128) < mean_corr(20)
 
 
 class TestCoefficientHistogram:
     def test_single_point_upper_quadrant(self):
         hist = coefficient_histogram(np.array([1 + 0j]), bins_per_axis=2)
-        assert hist.total == 1
-        assert hist.counts[1, 1] == 1
+        assert hist["counts"].sum() == 1
+        assert hist["counts"][1, 1] == 1
 
     def test_deterministic_ring(self):
         cluster = ClusterSpec(direction=0.7, spread_fraction=0.0, mean_power=0.81)
         table = link_table((UserSpec(clusters=(cluster,)),), ArrayGeometry(n_antennas=256))
         hist = coefficient_histogram(link_means(table, [0.0])[0], bins_per_axis=32)
-        diag = np.hypot(hist.re_edges[1] - hist.re_edges[0],
-                        hist.im_edges[1] - hist.im_edges[0])
-        rc, ic = np.meshgrid(hist.re_centers, hist.im_centers, indexing="ij")
-        radii = np.hypot(rc, ic)[hist.counts > 0]
+        edges = hist["edges"]
+        diag = np.hypot(edges[1] - edges[0], edges[1] - edges[0])
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        rc, ic = np.meshgrid(centers, centers, indexing="ij")
+        radii = np.hypot(rc, ic)[hist["counts"] > 0]
         assert np.abs(radii - 0.9).max() <= diag
 
     def test_counts_cover_all_samples(self):
         q = link_normals(substream(19, 0), 1, (5000,))[0]
         hist = coefficient_histogram(q, bins_per_axis=16)
-        assert hist.total == 5000
-        assert hist.re_edges[0] == -hist.re_edges[-1]
+        assert hist["counts"].sum() == 5000
+        assert hist["edges"][0] == -hist["edges"][-1]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -9,8 +9,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from blockfade import (UserCorrelationMatrix, coefficient_histogram, empirical_cdf,
-                       expand_preset, parse_config, run_scenario)
+from blockfade import (coefficient_histogram, empirical_cdf, expand_preset, parse_config,
+                       run_scenario)
 from blockfade import emit
 from blockfade.cli import main
 from blockfade.emit import (correlation_rows, ecdf_rows, fmt, histogram_rows,
@@ -34,9 +34,9 @@ class TestRows:
         assert sum(int(r.split(",")[2]) for r in rows) == 3
 
     def test_correlation_rows_unit_diagonal(self):
-        matrix = UserCorrelationMatrix(values=np.array([[1.0, 0.25, 0.5],
-                                                        [0.25, 1.0, 0.125],
-                                                        [0.5, 0.125, 1.0]]))
+        matrix = np.array([[1.0, 0.25, 0.5],
+                           [0.25, 1.0, 0.125],
+                           [0.5, 0.125, 1.0]])
         rows = list(correlation_rows(matrix))
         assert len(rows) == 3
         assert rows[0] == "1,0.25,0.5"

@@ -1,6 +1,7 @@
 """The README's examples run: its Python block executes, and its scenario
 document validates and simulates through the command line.  The public
-API is pinned: ``__all__`` resolves and covers what the README imports."""
+API is pinned: ``__all__`` is an exact list of names, resolves, and covers
+what the README imports."""
 
 import ast
 import os
@@ -31,6 +32,16 @@ def test_scenario_document_validates_and_simulates(tmp_path):
     assert main(["validate", str(path)]) == 0
     assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "manifest.csv").exists()
+
+
+def test_public_api_is_pinned():
+    # an added or removed public name shows up in review as a change here
+    assert sorted(blockfade.__all__) == [
+        "ArrayGeometry", "ClusterSpec", "ConfigError", "CorrelationSpec", "NumericalError",
+        "RANDOM_DIRECTION", "ReportBundle", "ResourceGrid", "ScenarioConfig", "UserSpec",
+        "build_covariance", "cholesky_psd", "coefficient_histogram", "eigenvalues_hermitian",
+        "empirical_cdf", "expand_preset", "gram", "parse_config", "power_profile",
+        "run_scenario", "substream"]
 
 
 def test_star_import_resolves_all():

@@ -6,11 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from blockfade import (ConfigError, ScenarioConfig, UserSpec, expand_preset, parse_config,
-                       run_scenario, substream)
+from blockfade import (ConfigError, NumericalError, ScenarioConfig, UserSpec, expand_preset,
+                       parse_config, run_scenario, substream)
 from blockfade.model import link_means, link_table
 from blockfade.scenario import (ARTIFACT_NAMES, DRAW_BLOCK_UNIFORMS, MAX_ARRAY_ENTRIES,
-                                PRESET_NAMES, config_to_dict)
+                                PRESET_NAMES, _require_finite, config_to_dict)
 from blockfade.stochastic import sample_link_grids
 
 MINIMAL = {
@@ -166,11 +166,14 @@ class TestParseConfig:
     @pytest.mark.parametrize("output, limit, array", [
         ("eigencdf", 2 ** 9, "eigenvalues"),  # K = 2 eigenvalues per RB
         ("cross-correlation", 2 ** 10, "cross-correlation magnitudes"),  # 1 pair per RB
-    ], ids=["eigencdf", "cross-correlation"])
+        ("power-profile", 2 ** 23, "power profiles"),  # N * K = 2 powers
+        ("correlation-matrix", 2 ** 22, "correlation matrices"),  # K**2 = 4 entries
+    ], ids=["eigencdf", "cross-correlation", "power-profile", "correlation-matrix"])
     @pytest.mark.parametrize("past", [0, 1], ids=["at-limit", "one-past"])
     def test_size_limit_of_kept_statistics(self, output, limit, array, past):
         # eigencdf and cross-correlation keep per-RB values of every
-        # realization: here realizations * 2**14 RBs * (2 or 1)
+        # realization, here realizations * 2**14 RBs * (2 or 1); power-profile
+        # and correlation-matrix keep one (N, K) or (K, K) array each
         doc = _doc(geometry={"n_antennas": 1}, grid={"t_max": 2 ** 14},
                    realizations=limit + past, outputs=[output])
         doc["users"] *= 2
@@ -178,6 +181,20 @@ class TestParseConfig:
             parse_config(json.dumps(doc))
         else:
             with pytest.raises(ConfigError, match=f"too large: the {array}"):
+                parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize("output", ["eigencdf", "cross-correlation", "correlation-matrix"])
+    @pytest.mark.parametrize("past", [0, 1], ids=["at-limit", "one-past"])
+    def test_size_limit_of_gram_stack(self, output, past):
+        # one realization's per-RB (t_max, f_max, K, K) Gram or correlation
+        # stack: 2**22 RBs * K**2 = 4 entries
+        doc = _doc(geometry={"n_antennas": 1}, grid={"t_max": 2 ** 22 + past},
+                   outputs=[output])
+        doc["users"] *= 2
+        if not past:
+            parse_config(json.dumps(doc))
+        else:
+            with pytest.raises(ConfigError, match="too large: the per-RB Gram stack"):
                 parse_config(json.dumps(doc))
 
 
@@ -262,21 +279,28 @@ class TestRunScenario:
         assert set(bundle.artifacts) == {"histogram", "raw-channel"}
         # the kept channels: (realizations, t_max, f_max, N, K)
         assert bundle.artifacts["raw-channel"].shape == (3, 2, 2, 4, 1)
-        assert bundle.artifacts["histogram"].total == 3 * 4 * 4  # m * blocks * N * K
+        assert bundle.artifacts["histogram"]["counts"].sum() == 3 * 4 * 4  # m * blocks * N * K
+        # every artifact is an array or a dict of arrays
+        doc["outputs"], doc["users"] = list(ARTIFACT_NAMES), doc["users"] * 2
+        artifacts = run_scenario(parse_config(json.dumps(doc))).artifacts
+        assert set(artifacts) == set(ARTIFACT_NAMES)
+        for payload in artifacts.values():
+            parts = payload.values() if isinstance(payload, dict) else [payload]
+            assert all(isinstance(a, np.ndarray) for a in parts)
 
     def test_seed_determinism_and_thread_invariance(self):
         config = replace(expand_preset("paper-D"), realizations=50)
-        ref = run_scenario(config).artifacts["correlation-matrix"].values
-        again = run_scenario(config).artifacts["correlation-matrix"].values
-        threaded = run_scenario(config, threads=4).artifacts["correlation-matrix"].values
+        ref = run_scenario(config).artifacts["correlation-matrix"]
+        again = run_scenario(config).artifacts["correlation-matrix"]
+        threaded = run_scenario(config, threads=4).artifacts["correlation-matrix"]
         assert np.array_equal(ref, again)
         assert np.array_equal(ref, threaded)
 
     def test_different_seeds_differ(self):
         config = replace(expand_preset("paper-D"), realizations=20)
-        a = run_scenario(config).artifacts["correlation-matrix"].values
+        a = run_scenario(config).artifacts["correlation-matrix"]
         b = run_scenario(replace(config, seed=config.seed + 1)
-                         ).artifacts["correlation-matrix"].values
+                         ).artifacts["correlation-matrix"]
         assert not np.array_equal(a, b)
 
     def test_eigencdf_normalizes_mean_power(self):
@@ -289,7 +313,7 @@ class TestRunScenario:
         scaled = parse_config(json.dumps(doc))
         cdf_base = run_scenario(base).artifacts["eigencdf"]
         cdf_scaled = run_scenario(scaled).artifacts["eigencdf"]
-        assert np.allclose(cdf_base.values, cdf_scaled.values, rtol=1e-12)
+        assert np.allclose(cdf_base, cdf_scaled, rtol=1e-12)
 
     def test_correlated_grid_runs(self):
         doc = _doc(grid={"t_max": 8, "f_max": 2}, realizations=5,
@@ -297,7 +321,7 @@ class TestRunScenario:
                    correlation={"mode": "time", "model": "exponential",
                                 "rho": 0.9, "length": 8})
         bundle = run_scenario(parse_config(json.dumps(doc)))
-        assert bundle.artifacts["histogram"].total == 5 * 16 * 4
+        assert bundle.artifacts["histogram"]["counts"].sum() == 5 * 16 * 4
 
     def test_statistics_run_once_per_realization(self, counting):
         from blockfade import analytics, scenario
@@ -311,6 +335,16 @@ class TestRunScenario:
         run_scenario(parse_config(json.dumps(doc)))
         assert counting.calls == {"add_links": 3, "gram": 3,
                                   "eigenvalues_hermitian": 3, "pairwise_correlation": 3}
+
+    @pytest.mark.parametrize("name, payload", [
+        ("cross-correlation", {"edges": np.array([0.0, 1.0]), "counts": np.array([2]),
+                               "magnitudes": np.array([0.5, np.nan])}),
+        ("power-profile", np.array([[1.0], [np.inf]])),
+    ], ids=["nan-in-dict", "inf-in-array"])
+    def test_require_finite_names_artifact(self, name, payload):
+        # the finite artifact ahead of it passes; the check names the bad one
+        with pytest.raises(NumericalError, match=f"^{name} is not finite"):
+            _require_finite({"eigencdf": np.array([0.5, 1.0]), name: payload})
 
     def test_threads_validation(self):
         with pytest.raises(ValueError):
