@@ -61,6 +61,9 @@ class ArrayGeometry:
         if not (is_finite_real(self.spacing_ratio) and self.spacing_ratio > 0):
             raise ValueError(f"spacing_ratio must be a finite real number > 0, "
                              f"got {self.spacing_ratio!r}")
+        # plain Python numbers, so the config.json echo is one asdict away
+        object.__setattr__(self, "n_antennas", int(self.n_antennas))
+        object.__setattr__(self, "spacing_ratio", float(self.spacing_ratio))
 
 
 @dataclass(frozen=True)
@@ -114,14 +117,9 @@ class ClusterSpec:
         return isinstance(self.direction, str)
 
     def power_vector(self, n_antennas: int) -> np.ndarray:
-        """Per-antenna power vector, broadcasting a scalar power to length N."""
-        power = np.atleast_1d(np.asarray(self.mean_power, dtype=float))
-        if power.size == 1:
-            return np.full(n_antennas, power[0])
-        if power.size != n_antennas:
-            raise ValueError(f"per-antenna power vector has length {power.size}, "
-                             f"expected {n_antennas}")
-        return power.copy()
+        """Per-antenna power vector, broadcasting a scalar power to length N
+        (``ScenarioConfig`` checks that a vector has length 1 or N)."""
+        return np.broadcast_to(np.asarray(self.mean_power, dtype=float), n_antennas).copy()
 
 
 @dataclass(frozen=True)
@@ -157,6 +155,7 @@ class ResourceGrid:
             v = getattr(self, name)
             if not (is_int(v) and v >= 1):
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
+            object.__setattr__(self, name, int(v))
 
 
 def phase_ramps(theta, geometry: ArrayGeometry) -> np.ndarray:

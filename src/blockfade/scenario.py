@@ -5,13 +5,18 @@ users' clusters, the resource grid, the RB correlation model, a seed, and
 the requested output artifacts.  Running a scenario is deterministic given
 the seed: every realization draws from its own counter-based substream, so
 results are bitwise identical across repeat runs and across thread counts.
+
+The spec dataclasses are the document schema: an object's keys are its
+type's fields, required where the field has no default, and the type
+validates their values.  Only the correlation object has its own form.
 """
 
 from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -74,14 +79,15 @@ PRESET_NAMES = ("iid", "nlos", "los", "paper-A", "paper-B", "paper-C", "paper-D"
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Fully validated simulation scenario; violations raise ConfigError."""
+    """Fully validated simulation scenario; violations raise ConfigError.
+    Its fields are the top-level keys of a scenario document."""
 
     seed: int
     geometry: ArrayGeometry
     users: tuple
+    realizations: int
     grid: ResourceGrid = ResourceGrid()
     correlation: CorrelationSpec = CorrelationSpec.none()
-    realizations: int = 1
     outputs: tuple = ()
     bins: int = DEFAULT_BINS
 
@@ -92,18 +98,16 @@ class ScenarioConfig:
         object.__setattr__(self, "users", users)
         if len(users) < 1:
             raise ConfigError("at least one user required")
-        if not (is_int(self.realizations) and self.realizations >= 1):
-            raise ConfigError(f"realizations must be a positive integer, "
-                              f"got {self.realizations!r}")
-        seen = []
+        for name in ("realizations", "bins"):
+            value = getattr(self, name)
+            if not (is_int(value) and value >= 1):
+                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         for name in self.outputs:
             if name not in ARTIFACT_NAMES:
                 raise ConfigError(f"unknown output {name!r}; valid outputs: {ARTIFACT_NAMES}")
-            if name not in seen:
-                seen.append(name)
-        object.__setattr__(self, "outputs", tuple(seen))
-        if not (is_int(self.bins) and self.bins >= 1):
-            raise ConfigError(f"bins must be a positive integer, got {self.bins!r}")
+        object.__setattr__(self, "outputs", tuple(dict.fromkeys(self.outputs)))
+        for name in ("seed", "realizations", "bins"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         check_length(self.correlation, self.grid)
         n = self.geometry.n_antennas
         tensor = self.grid.t_max * self.grid.f_max * n * len(users)
@@ -163,16 +167,13 @@ class ReportBundle:
 # ---------------------------------------------------------------------------
 # configuration documents
 
-def _require_keys(mapping: dict, allowed: dict, path: str) -> dict:
-    out = {}
-    for key, value in mapping.items():
+def _require_keys(mapping: dict, allowed: dict, path: str):
+    for key in mapping:
         if key not in allowed:
             raise ConfigError(f"{path}: unknown key {key!r} (allowed: {sorted(allowed)})")
-        out[key] = value
     for key, required in allowed.items():
         if required and key not in mapping:
             raise ConfigError(f"{path}: missing required key {key!r}")
-    return out
 
 
 def _build(path: str, make, *args, **kwargs):
@@ -183,77 +184,54 @@ def _build(path: str, make, *args, **kwargs):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _cluster_from_dict(d: dict, path: str) -> ClusterSpec:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path}: cluster must be an object")
-    d = _require_keys(d, {"direction": True, "spread_fraction": True, "mean_power": False},
-                      path)
-    return _build(path, ClusterSpec, **d)
+def _from_dict(cls, doc, path: str, **convert):
+    """Build the spec type ``cls`` from the document object ``doc``, whose
+    keys are its fields; ``convert[key](value, path)`` converts a value first."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: must be an object")
+    _require_keys(doc, {f.name: f.default is MISSING for f in fields(cls)}, path)
+    return _build(path, cls, **{key: convert[key](value, f"{path}.{key}") if key in convert
+                                else value for key, value in doc.items()})
+
+
+def _list(make, non_empty: bool = True):
+    """Converter of a list (or tuple) whose items ``make(item, path)`` converts."""
+    def convert(items, path: str) -> tuple:
+        if not isinstance(items, (list, tuple)) or (non_empty and not items):
+            raise ConfigError(f"{path}: must be a {'non-empty ' * non_empty}list")
+        return tuple(make(item, f"{path}[{i}]") for i, item in enumerate(items))
+    return convert
 
 
 def _correlation_from_dict(d: dict, path: str) -> CorrelationSpec:
+    # not CorrelationSpec's fields: "model" names the family, a matrix implies length
     if not isinstance(d, dict):
-        raise ConfigError(f"{path}: correlation must be an object")
+        raise ConfigError(f"{path}: must be an object")
     mode = d.get("mode", "none")
     if mode == "none":
         _require_keys(d, {"mode": False}, path)
         return CorrelationSpec.none()
     model = d.get("model", "exponential")
     if model == "exponential":
-        d = _require_keys(d, {"mode": True, "model": False, "rho": True, "length": True},
-                          path)
+        _require_keys(d, {"mode": True, "model": False, "rho": True, "length": True}, path)
         return _build(path, CorrelationSpec.exponential, mode, d["rho"], d["length"])
     if model == "custom":
-        d = _require_keys(d, {"mode": True, "model": True, "matrix": True}, path)
+        _require_keys(d, {"mode": True, "model": True, "matrix": True}, path)
         return _build(path, CorrelationSpec.custom, mode, d["matrix"])
     raise ConfigError(f"{path}.model: must be 'exponential' or 'custom', got {model!r}")
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
     """Build a validated ScenarioConfig from a JSON-compatible dictionary."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config: document must be a JSON object")
-    if "preset" in doc:
-        doc = _require_keys(doc, {"preset": True}, "config")
+    if isinstance(doc, dict) and "preset" in doc:
+        _require_keys(doc, {"preset": True}, "config")
         return expand_preset(doc["preset"])
-    doc = _require_keys(doc, {"seed": True, "geometry": True, "users": True,
-                              "grid": False, "correlation": False,
-                              "realizations": True, "outputs": False,
-                              "bins": False}, "config")
-    geo = doc["geometry"]
-    if not isinstance(geo, dict):
-        raise ConfigError("config.geometry: must be an object")
-    geo = _require_keys(geo, {"n_antennas": True, "spacing_ratio": False},
-                        "config.geometry")
-    geometry = _build("config.geometry", ArrayGeometry, **geo)
-    if not isinstance(doc["users"], list) or not doc["users"]:
-        raise ConfigError("config.users: must be a non-empty list")
-    users = []
-    for j, user_doc in enumerate(doc["users"]):
-        path = f"config.users[{j}]"
-        if not isinstance(user_doc, dict):
-            raise ConfigError(f"{path}: user must be an object")
-        user_doc = _require_keys(user_doc, {"clusters": True}, path)
-        if not isinstance(user_doc["clusters"], list) or not user_doc["clusters"]:
-            raise ConfigError(f"{path}.clusters: must be a non-empty list")
-        clusters = tuple(_cluster_from_dict(c, f"{path}.clusters[{i}]")
-                         for i, c in enumerate(user_doc["clusters"]))
-        users.append(_build(path, UserSpec, clusters))
-    grid_doc = doc.get("grid", {})
-    if not isinstance(grid_doc, dict):
-        raise ConfigError("config.grid: must be an object")
-    grid_doc = _require_keys(grid_doc, {"t_max": False, "f_max": False,
-                                        "symbols_per_rb": False}, "config.grid")
-    grid = _build("config.grid", ResourceGrid, **grid_doc)
-    correlation = _correlation_from_dict(doc.get("correlation", {"mode": "none"}),
-                                         "config.correlation")
-    outputs = doc.get("outputs", [])
-    if not isinstance(outputs, list):
-        raise ConfigError("config.outputs: must be a list of artifact names")
-    return _build("config", ScenarioConfig, seed=doc["seed"], geometry=geometry,
-                  users=tuple(users), grid=grid, correlation=correlation,
-                  realizations=doc["realizations"], outputs=tuple(outputs),
-                  bins=doc.get("bins", DEFAULT_BINS))
+    user = partial(_from_dict, UserSpec, clusters=_list(partial(_from_dict, ClusterSpec)))
+    return _from_dict(ScenarioConfig, doc, "config",
+                      geometry=partial(_from_dict, ArrayGeometry), users=_list(user),
+                      grid=partial(_from_dict, ResourceGrid),
+                      correlation=_correlation_from_dict,
+                      outputs=_list(lambda name, path: name, non_empty=False))
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -274,36 +252,19 @@ def parse_config(text: str) -> ScenarioConfig:
     return config_from_dict(doc)
 
 
-def _cluster_to_dict(cluster: ClusterSpec) -> dict:
-    power = cluster.mean_power
-    return {"direction": cluster.direction,
-            "spread_fraction": cluster.spread_fraction,
-            "mean_power": list(power) if isinstance(power, tuple) else power}
-
-
 def config_to_dict(config: ScenarioConfig) -> dict:
-    """JSON-compatible echo of a config; parsing it reproduces the config."""
-    doc = {
-        "seed": int(config.seed),
-        "geometry": {"n_antennas": int(config.geometry.n_antennas),
-                     "spacing_ratio": float(config.geometry.spacing_ratio)},
-        "users": [{"clusters": [_cluster_to_dict(c) for c in u.clusters]}
-                  for u in config.users],
-        "grid": {"t_max": int(config.grid.t_max), "f_max": int(config.grid.f_max),
-                 "symbols_per_rb": int(config.grid.symbols_per_rb)},
-        "realizations": int(config.realizations),
-        "outputs": list(config.outputs),
-        "bins": int(config.bins),
-    }
+    """JSON-compatible echo of a config; parsing it reproduces the config.
+    The specs hold plain Python values, so it is their fields but for the
+    correlation, which is echoed in its document form."""
+    doc = asdict(config)
     corr = config.correlation
     if corr.mode == "none":
         doc["correlation"] = {"mode": "none"}
     elif corr.rho is not None:
         doc["correlation"] = {"mode": corr.mode, "model": "exponential",
-                              "rho": corr.rho, "length": int(corr.length)}
+                              "rho": corr.rho, "length": corr.length}
     else:
-        doc["correlation"] = {"mode": corr.mode, "model": "custom",
-                              "matrix": [[float(x) for x in row] for row in corr.matrix]}
+        doc["correlation"] = {"mode": corr.mode, "model": "custom", "matrix": corr.matrix}
     return doc
 
 

@@ -15,15 +15,15 @@ grid takes a block of u1 values followed by a block of u2 values, and
 ``link_normals`` draws several consecutive links as one
 ``(n_links, 2, ...)`` block, which is the same sequence.
 
-``CorrelationSpec`` validates its fields at construction, a custom matrix
-included (real, square, symmetric, unit diagonal, PSD), so
-``build_covariance`` only builds the matrix.  ``check_length`` is the one
-check that a spec fits a resource grid.
-
-The Cholesky factor of a covariance is built once per spec, on first use
-(``CorrelationSpec.lower``), and the correlation itself is one batched
-BLAS ``matmul`` per block of links (``sample_link_grids``, the one
-sampler; a single link is ``n_links=1``).
+``CorrelationSpec`` validates its fields at construction, so
+``build_covariance`` only builds the matrix; ``check_length`` is the one
+check that a spec fits a resource grid.  A custom matrix must be real,
+square, symmetric, unit-diagonal and PSD, where PSD means that
+``cholesky_psd`` (LAPACK after a 1e-12 diagonal jitter) factors it.  The
+factor is built once per spec (``CorrelationSpec.lower``), for a custom
+matrix at construction as its PSD check, and the correlation itself is
+one batched BLAS ``matmul`` per block of links (``sample_link_grids``,
+the one sampler; a single link is ``n_links=1``).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .model import ResourceGrid, is_finite_real, is_int
 
 MODES = ("time", "frequency", "none")
 
-PSD_TOLERANCE = -1e-10
 CHOLESKY_JITTER = 1e-12
 
 
@@ -67,6 +66,7 @@ class CorrelationSpec:
             return
         if not (is_int(self.length) and self.length >= 1):
             raise ValueError(f"length must be a positive integer, got {self.length!r}")
+        object.__setattr__(self, "length", int(self.length))
         if (self.rho is None) == (self.matrix is None):
             raise ValueError("exactly one of rho / matrix must be given")
         if self.rho is not None:
@@ -89,10 +89,13 @@ class CorrelationSpec:
                 raise ValueError("custom covariance must be Hermitian")
             if not np.allclose(np.diag(m), 1.0, rtol=0.0, atol=1e-12):
                 raise ValueError("custom covariance must have unit diagonal")
-            if np.linalg.eigvalsh(m).min() < PSD_TOLERANCE:
-                raise ValueError("custom covariance has an eigenvalue below -1e-10; not PSD")
             # nested tuples so the spec stays hashable and comparable
             object.__setattr__(self, "matrix", tuple(map(tuple, m.tolist())))
+            try:
+                self.lower  # the factor the run uses, built here once
+            except NumericalError as exc:
+                raise ValueError("custom covariance has an eigenvalue below about -1e-12 "
+                                 "(no Cholesky factor); not PSD") from exc
 
     @classmethod
     def none(cls) -> "CorrelationSpec":
@@ -110,7 +113,8 @@ class CorrelationSpec:
 
     @cached_property
     def lower(self) -> np.ndarray:
-        """Read-only Cholesky factor of the covariance, built on first use.
+        """Read-only Cholesky factor of the covariance, built on first use
+        (for a custom matrix at construction, as its PSD check).
 
         The spec is frozen, so the factor depends on nothing else: it is
         kept on the instance and shared by every ``sample_link_grids`` call
@@ -163,32 +167,19 @@ def build_covariance(spec: CorrelationSpec) -> np.ndarray:
 
 
 def cholesky_psd(sigma: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L @ L^H = sigma, tolerant of semidefinite input.
+    """Lower-triangular L with L @ L^H = sigma + 1e-12 * I, from LAPACK.
 
-    A jitter of 1e-12 is added to the diagonal before factorization so
-    near-singular covariances (e.g. rho -> 1) factor stably; a pivot below
-    -1e-10 after jitter signals a genuinely non-PSD matrix.  The diagonal of
-    L is real and nonnegative.
+    The jitter lets near-singular covariances (e.g. rho -> 1) factor; a
+    matrix that still has no factor is not PSD and raises NumericalError.
+    The diagonal of L is real and positive.
     """
     a = np.array(sigma, dtype=complex if np.iscomplexobj(sigma) else float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("covariance must be square")
-    n = a.shape[0]
-    a[np.diag_indices(n)] += CHOLESKY_JITTER
-    lower = np.zeros_like(a)
-    for j in range(n):
-        col = a[j:, j] - lower[j:, :j] @ lower[j, :j].conj()
-        pivot = col[0].real
-        if pivot < PSD_TOLERANCE:
-            raise NumericalError(f"pivot {pivot:.3e} at column {j} below tolerance; "
-                                 "matrix is not positive semidefinite")
-        d = np.sqrt(max(pivot, 0.0))
-        if d == 0.0:
-            lower[j:, j] = 0.0
-        else:
-            lower[j, j] = d
-            lower[j + 1:, j] = col[1:] / d
-    return lower
+    a[np.diag_indices_from(a)] += CHOLESKY_JITTER
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("Cholesky factorization met a non-positive pivot; "
+                             "matrix is not positive semidefinite") from exc
 
 
 def check_length(spec: CorrelationSpec, grid: ResourceGrid):

@@ -222,6 +222,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("config error") == 2 and key in err
 
+    @pytest.mark.parametrize("smallest, code", [(-6.9e-11, 2), (-3e-13, 0)],
+                             ids=["rejected", "accepted"])
+    def test_custom_matrix_psd_decided_once(self, smallest, code, tmp_path, capsys):
+        # a 3x3 correlation matrix with eigenvalues (smallest, b, b) on an
+        # orthonormal basis whose first vector is ones / sqrt(3): b = (3 -
+        # smallest) / 2 keeps the diagonal at 1.  It is PSD exactly when it
+        # has a Cholesky factor after a 1e-12 jitter, for validate and run.
+        basis = np.array([[1, 1, 1], [1, -1, 0], [1, 1, -2]]) / np.sqrt([[3], [2], [6]])
+        eigenvalues = np.array([smallest, (3 - smallest) / 2, (3 - smallest) / 2])
+        matrix = (basis.T * eigenvalues) @ basis
+        assert np.linalg.eigvalsh(matrix).min() == pytest.approx(smallest, rel=1e-3)
+        doc = {"seed": 3, "geometry": {"n_antennas": 4},
+               "users": [{"clusters": [{"direction": 0.1, "spread_fraction": 0.5}]}],
+               "grid": {"t_max": 3},
+               "correlation": {"mode": "time", "model": "custom", "matrix": matrix.tolist()},
+               "realizations": 2, "outputs": ["histogram"]}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == code
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err.splitlines()
+        if code:
+            assert len(err) == 2
+            assert all(line.startswith("config error: config.correlation: ")
+                       and line.endswith("not PSD") for line in err)
+        else:
+            assert err == []
+
     @pytest.mark.parametrize("content, message", [
         (json.dumps({"seed": 3, "geometry": {"n_antennas": 10 ** 20},
                      "users": [{"clusters": [{"direction": 0.1, "spread_fraction": 0.5}]}],

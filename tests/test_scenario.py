@@ -1,12 +1,14 @@
 """Tests for configuration parsing, presets, and the scenario runner."""
 
 import json
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from blockfade import (ConfigError, NumericalError, ScenarioConfig, UserSpec, expand_preset,
+from blockfade import (ArrayGeometry, ClusterSpec, ConfigError, CorrelationSpec, NumericalError,
+                       ResourceGrid, ScenarioConfig, UserSpec, expand_preset,
                        parse_config, run_scenario, substream)
 from blockfade.model import link_means, link_table
 from blockfade.scenario import (ARTIFACT_NAMES, DRAW_BLOCK_UNIFORMS, MAX_ARRAY_ENTRIES,
@@ -55,6 +57,50 @@ class TestParseConfig:
         doc = _doc()
         del doc["seed"]
         with pytest.raises(ConfigError, match="seed"):
+            parse_config(json.dumps(doc))
+
+    # (path in the document, spec type whose fields are the keys there)
+    LEVELS = [((), ScenarioConfig), (("geometry",), ArrayGeometry), (("grid",), ResourceGrid),
+              (("users", 0), UserSpec), (("users", 0, "clusters", 0), ClusterSpec),
+              (("correlation",), None)]
+
+    @staticmethod
+    def _level(doc, level):
+        """The object at ``level`` in ``doc`` and its path as errors print it."""
+        path = "config"
+        for key in level:
+            doc = doc[key]
+            path += f"[{key}]" if isinstance(key, int) else f".{key}"
+        return doc, path
+
+    @pytest.mark.parametrize("level, spec", LEVELS,
+                             ids=["config", "geometry", "grid", "users", "clusters", "correlation"])
+    def test_unknown_key_named_at_every_level(self, level, spec):
+        doc = _doc(grid={"t_max": 2}, correlation={"mode": "time", "model": "exponential",
+                                                   "rho": 0.5, "length": 2})
+        target, path = self._level(doc, level)
+        target["snr"] = 10
+        # the correlation object is the one whose keys are not a spec's fields
+        allowed = sorted(f.name for f in fields(spec)) if spec else \
+            ["length", "mode", "model", "rho"]
+        message = f"{path}: unknown key 'snr' (allowed: {allowed})"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize("level, key", [
+        ((), "seed"), ((), "geometry"), ((), "users"), ((), "realizations"),
+        (("geometry",), "n_antennas"), (("users", 0), "clusters"),
+        (("users", 0, "clusters", 0), "direction"),
+        (("users", 0, "clusters", 0), "spread_fraction"),
+        (("correlation",), "rho"), (("correlation",), "length")],
+        ids=lambda v: ".".join(map(str, ("config",) + v)) if isinstance(v, tuple) else v)
+    def test_missing_required_key_named_at_every_level(self, level, key):
+        doc = _doc(grid={"t_max": 2}, correlation={"mode": "time", "model": "exponential",
+                                                   "rho": 0.5, "length": 2})
+        target, path = self._level(doc, level)
+        del target[key]
+        message = f"{path}: missing required key {key!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config(json.dumps(doc))
 
     def test_correlation_grid_mismatch(self):
@@ -215,6 +261,27 @@ class TestRoundTrip:
             {"direction": "random", "spread_fraction": 0.5})
         config = parse_config(json.dumps(doc))
         assert parse_config(json.dumps(config_to_dict(config))) == config
+
+
+    @pytest.mark.parametrize("i, u", [(np.int64, np.int64), (np.uint64, np.uint64),
+                                      (np.int64, np.uint64)], ids=["int64", "uint64", "mixed"])
+    def test_echo_of_numpy_numbers_matches_python_numbers(self, i, u, tmp_path):
+        # the config.json echo is asdict of the specs, so they must hold
+        # Python int and float whatever number types they were built from
+        def config(i, u, spacing_ratio):
+            cluster = ClusterSpec(direction=0.5, spread_fraction=0.3, mean_power=(1, 2, 3, 4))
+            return ScenarioConfig(
+                seed=u(7), geometry=ArrayGeometry(n_antennas=i(4), spacing_ratio=spacing_ratio),
+                users=(UserSpec(clusters=(cluster,)),), realizations=u(2),
+                grid=ResourceGrid(t_max=i(3), f_max=u(2), symbols_per_rb=i(5)),
+                correlation=CorrelationSpec.exponential("time", 0.5, i(3)), bins=i(8))
+        texts = []
+        for name, numbers in {"numpy": (i, u, 1), "python": (int, int, 1.0)}.items():
+            bundle = run_scenario(config(*numbers), out_dir=tmp_path / name)
+            with open(bundle.files["config.json"], "rb") as fh:
+                texts.append(fh.read())
+        assert texts[0] == texts[1]
+        assert b'"spacing_ratio": 1.0' in texts[0]
 
 
 class TestPresets:

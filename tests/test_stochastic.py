@@ -181,6 +181,15 @@ class TestSampleQBlock:
         run_scenario(parse_config(json.dumps(doc)))
         assert counting.calls == {"cholesky_psd": 1}
 
+    def test_custom_factor_built_once_at_construction(self, counting):
+        # the factor is the PSD check of a custom matrix and the one the run uses
+        from blockfade import stochastic
+        counting(stochastic, "cholesky_psd")
+        spec = CorrelationSpec.custom("time", [[1.0, 0.5], [0.5, 1.0]])
+        assert counting.calls == {"cholesky_psd": 1}
+        sample_link_grids(spec, ResourceGrid(t_max=2, f_max=3), 4, 2, substream(1, 0))
+        assert counting.calls == {"cholesky_psd": 1}
+
     def test_length_mismatch_rejected(self):
         spec = CorrelationSpec.exponential("time", 0.5, 8)
         with pytest.raises(ValueError, match="length"):
