@@ -27,18 +27,17 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run a scenario configuration file")
-    sim.add_argument("config", help="path to a JSON scenario document")
-    sim.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sim.add_argument("--out", default=None, help="directory for CSV/SVG artifacts")
-    sim.add_argument("--threads", type=int, default=1, help="worker threads")
+    run = argparse.ArgumentParser(add_help=False)  # the options of both run commands
+    run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    run.add_argument("--out", default=None, help="directory for CSV/SVG artifacts")
+    run.add_argument("--threads", type=int, default=1, help="worker threads")
 
-    pre = sub.add_parser("preset", help="run a named validation preset")
+    sim = sub.add_parser("simulate", parents=[run], help="run a scenario configuration file")
+    sim.add_argument("config", help="path to a JSON scenario document")
+
+    pre = sub.add_parser("preset", parents=[run], help="run a named validation preset")
     pre.add_argument("name", choices=PRESET_NAMES, metavar="name",
                      help=f"one of: {', '.join(PRESET_NAMES)}")
-    pre.add_argument("--seed", type=int, default=None, help="override the preset seed")
-    pre.add_argument("--out", default=None, help="directory for CSV/SVG artifacts")
-    pre.add_argument("--threads", type=int, default=1, help="worker threads")
 
     val = sub.add_parser("validate", help="parse and validate a configuration file")
     val.add_argument("config", help="path to a JSON scenario document")

@@ -25,7 +25,7 @@ from . import analytics
 from .errors import ConfigError, NumericalError
 from .model import (RANDOM_DIRECTION, ArrayGeometry, ClusterSpec, LinkTable, ResourceGrid,
                     UserSpec, add_links, draw_means, is_int, link_table)
-from .stochastic import CorrelationSpec, check_length, sample_link_grids, substream
+from .stochastic import CorrelationSpec, sample_link_grids, substream
 
 ARTIFACT_NAMES = ("histogram", "cross-correlation", "eigencdf",
                   "power-profile", "correlation-matrix", "raw-channel")
@@ -35,7 +35,8 @@ DEFAULT_PRESET_SEED = 1000003
 
 # Largest array a run builds, in entries: the (t_max, f_max, N, K) channel
 # tensor of one realization (2**24 complex entries are 256 MiB), its
-# (t_max, f_max, K, K) per-RB Gram or correlation stack, the length x length
+# (t_max, f_max, K, K) per-RB Gram or correlation stack, the (clusters, N)
+# arrays of the link table and of its spatial means, the length x length
 # RB covariance, the bins x bins coefficient histogram and what an output
 # keeps of every realization until the end of the run: the channel
 # (histogram, raw-channel), the per-RB eigenvalues (eigencdf), the per-RB
@@ -52,29 +53,52 @@ MAX_ARRAY_ENTRIES = 2 ** 24
 # link at a time, which bounds the working set.
 DRAW_BLOCK_UNIFORMS = 2 ** 16
 
-# Frozen validation geometry: stratified principal user directions plus
-# per-cluster offsets that scale with the cluster's angular spread, so the
-# LOS and NLOS variants of one scenario share the same underlying draw and
-# differ only through their spread fractions.
-_K3_PRINCIPAL = (0.25111391655907217, 1.675313356991702, 2.386720909548449)
-_K3_OFFSETS = ((-1.4398305372311229, 1.1242432238146183, -1.2684029636672087),
-               (1.4003292775809402, -0.3916041804884667, -1.0575825162877153),
-               (0.08908149162317724, -0.48545964647806206, -0.7609054870675304))
-_K6_PRINCIPAL = (0.12555695827953609, 0.837656678495851, 1.1933604547742245,
-                 1.640618309629896, 2.5060935867009606, 2.710672870635016)
-_K6_OFFSETS = ((1.4003292775809402, -0.3916041804884667, -1.0575825162877153),
-               (0.08908149162317724, -0.48545964647806206, -0.7609054870675304),
-               (0.4011294607407494, -0.496410251801096, -0.24803178644918855),
-               (0.6857236484089309, 0.5690262286997689, 0.4247061913718053),
-               (1.401991652038597, 0.7798872776244901, -0.8998413060276411),
-               (0.13707275693096022, 0.74462317203957, -1.0141169005376334))
+# Frozen validation geometry, a (principals, offsets) pair: stratified
+# principal user directions plus per-cluster offsets that scale with the
+# cluster's angular spread, so the LOS and NLOS variants of one scenario
+# share the same underlying draw and differ only through their spread
+# fractions.
+_K3 = ((0.25111391655907217, 1.675313356991702, 2.386720909548449),
+       ((-1.4398305372311229, 1.1242432238146183, -1.2684029636672087),
+        (1.4003292775809402, -0.3916041804884667, -1.0575825162877153),
+        (0.08908149162317724, -0.48545964647806206, -0.7609054870675304)))
+_K6 = ((0.12555695827953609, 0.837656678495851, 1.1933604547742245,
+        1.640618309629896, 2.5060935867009606, 2.710672870635016),
+       ((1.4003292775809402, -0.3916041804884667, -1.0575825162877153),
+        (0.08908149162317724, -0.48545964647806206, -0.7609054870675304),
+        (0.4011294607407494, -0.496410251801096, -0.24803178644918855),
+        (0.6857236484089309, 0.5690262286997689, 0.4247061913718053),
+        (1.401991652038597, 0.7798872776244901, -0.8998413060276411),
+        (0.13707275693096022, 0.74462317203957, -1.0141169005376334)))
 
 NLOS_SPREADS = (0.6, 0.8, 1.0)
 LOS_SPREADS = (0.05, 0.1, 0.15)
 CLUSTER_POWER_SPLIT = (0.5, 0.3, 0.2)
 
-PRESET_NAMES = ("iid", "nlos", "los", "paper-A", "paper-B", "paper-C", "paper-D",
-                "fig2", "fig3", "fig4", "fig5", "fig6")
+# One row per preset: the cluster directions, as the frozen (principals,
+# offsets) geometry or as one direction per user shared by its clusters (an
+# angle or "random"); the clusters' spread fractions and mean powers; N; the
+# realizations; the outputs; and whether each cluster's power ramps 0.5 ->
+# 1.5 along the array.
+_PRESETS = {
+    "iid": (6 * (RANDOM_DIRECTION,), (1.0, 1.0, 1.0), CLUSTER_POWER_SPLIT, 128, 1000,
+            ("eigencdf", "cross-correlation"), False),
+    "nlos": (_K6, NLOS_SPREADS, CLUSTER_POWER_SPLIT, 128, 1000,
+             ("correlation-matrix", "eigencdf"), False),
+    "los": (_K6, LOS_SPREADS, CLUSTER_POWER_SPLIT, 128, 1000,
+            ("correlation-matrix", "eigencdf"), False),
+    "paper-A": (_K3, NLOS_SPREADS, CLUSTER_POWER_SPLIT, 128, 1000, ("correlation-matrix",), False),
+    "paper-B": (_K3, LOS_SPREADS, CLUSTER_POWER_SPLIT, 128, 1000, ("correlation-matrix",), False),
+    "paper-C": (_K3, NLOS_SPREADS, CLUSTER_POWER_SPLIT, 20, 1000, ("correlation-matrix",), False),
+    "paper-D": (_K3, LOS_SPREADS, CLUSTER_POWER_SPLIT, 20, 1000, ("correlation-matrix",), False),
+    "fig2": ((np.pi / 3,), (0.1,), (1.0,), 128, 1000, ("histogram",), False),
+    "fig3": ((np.pi / 3,), (0.5,), (1.0,), 128, 1000, ("histogram",), False),
+    "fig4": (2 * (RANDOM_DIRECTION,), (0.1,), (1.0,), 128, 2000, ("cross-correlation",), False),
+    "fig5": (_K6, NLOS_SPREADS, CLUSTER_POWER_SPLIT, 128, 1000, ("eigencdf",), False),
+    "fig6": (_K6, NLOS_SPREADS, CLUSTER_POWER_SPLIT, 128, 1000, ("power-profile",), True),
+}
+
+PRESET_NAMES = tuple(_PRESETS)
 
 
 @dataclass(frozen=True)
@@ -108,10 +132,14 @@ class ScenarioConfig:
         object.__setattr__(self, "outputs", tuple(dict.fromkeys(self.outputs)))
         for name in ("seed", "realizations", "bins"):
             object.__setattr__(self, name, int(getattr(self, name)))
-        check_length(self.correlation, self.grid)
+        axis = {"time": "t_max", "frequency": "f_max"}.get(self.correlation.mode)
+        if axis and self.correlation.length != getattr(self.grid, axis):
+            raise ConfigError(f"correlation length {self.correlation.length} does not match "
+                              f"{axis} {getattr(self.grid, axis)}")
         n = self.geometry.n_antennas
         tensor = self.grid.t_max * self.grid.f_max * n * len(users)
         sizes = {"channel tensor t_max*f_max*n_antennas*users": tensor,
+                 "link table clusters*n_antennas": sum(len(u.clusters) for u in users) * n,
                  "covariance length**2": self.correlation.length ** 2,
                  "histogram bins**2": self.bins ** 2}
         if {"histogram", "raw-channel"} & set(self.outputs):
@@ -271,106 +299,33 @@ def config_to_dict(config: ScenarioConfig) -> dict:
 # ---------------------------------------------------------------------------
 # presets
 
-def _scattered_directions(principals, offsets, spreads):
-    th = np.mod(np.asarray(principals)[:, None]
-                + np.asarray(spreads)[None, :] * np.asarray(offsets), np.pi)
-    return th
-
-
-def _validation_users(principals, offsets, spreads, n_antennas,
-                      power_ramp: bool = False):
-    directions = _scattered_directions(principals, offsets, spreads)
-    ramp = np.linspace(0.5, 1.5, n_antennas)
-    users = []
-    for j in range(len(principals)):
-        clusters = []
-        for c, s in enumerate(spreads):
-            power = CLUSTER_POWER_SPLIT[c] * ramp if power_ramp else CLUSTER_POWER_SPLIT[c]
-            clusters.append(ClusterSpec(direction=float(directions[j, c]),
-                                        spread_fraction=s, mean_power=power))
-        users.append(UserSpec(clusters=tuple(clusters)))
-    return tuple(users)
-
-
-def _paper_matrix_config(seed, n_antennas, spreads) -> ScenarioConfig:
-    return ScenarioConfig(
-        seed=seed,
-        geometry=ArrayGeometry(n_antennas=n_antennas),
-        users=_validation_users(_K3_PRINCIPAL, _K3_OFFSETS, spreads, n_antennas),
-        realizations=1000,
-        outputs=("correlation-matrix",),
-    )
-
-
-def _k6_config(seed, spreads, outputs, power_ramp=False) -> ScenarioConfig:
-    n = 128
-    return ScenarioConfig(
-        seed=seed,
-        geometry=ArrayGeometry(n_antennas=n),
-        users=_validation_users(_K6_PRINCIPAL, _K6_OFFSETS, spreads, n,
-                                power_ramp=power_ramp),
-        realizations=1000,
-        outputs=outputs,
-    )
-
-
-def _ring_config(seed, spread) -> ScenarioConfig:
-    user = UserSpec(clusters=(ClusterSpec(direction=np.pi / 3,
-                                          spread_fraction=spread, mean_power=1.0),))
-    return ScenarioConfig(seed=seed, geometry=ArrayGeometry(n_antennas=128),
-                          users=(user,), realizations=1000, outputs=("histogram",))
-
-
 def expand_preset(name: str, seed: int = DEFAULT_PRESET_SEED) -> ScenarioConfig:
     """Expand a named preset into a full scenario configuration.
 
-    The iid / nlos / los family and the validation scenarios paper-A..D use
-    three clusters per user with power split 0.5/0.3/0.2; the paper-A/B and
+    Every preset is one row of ``_PRESETS``, built the same way.  The iid /
+    nlos / los family and the validation scenarios paper-A..D use three
+    clusters per user with power split 0.5/0.3/0.2; the paper-A/B and
     paper-C/D pairs differ only in the number of antennas (128 vs 20) and in
     the spread fractions (NLOS 0.6/0.8/1.0 vs LOS 0.05/0.1/0.15).  fig2/fig3
     are single-user ring histogram scenarios, fig4 draws two single-cluster
     users with fresh random directions per realization, fig5 emits the
     eigenvalue CDF and fig6 a power profile with a per-antenna power ramp.
     """
-    if name not in PRESET_NAMES:
+    if name not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}; valid presets: {PRESET_NAMES}")
-    if name == "paper-A":
-        return _paper_matrix_config(seed, 128, NLOS_SPREADS)
-    if name == "paper-B":
-        return _paper_matrix_config(seed, 128, LOS_SPREADS)
-    if name == "paper-C":
-        return _paper_matrix_config(seed, 20, NLOS_SPREADS)
-    if name == "paper-D":
-        return _paper_matrix_config(seed, 20, LOS_SPREADS)
-    if name == "nlos":
-        return _k6_config(seed, NLOS_SPREADS, ("correlation-matrix", "eigencdf"))
-    if name == "los":
-        return _k6_config(seed, LOS_SPREADS, ("correlation-matrix", "eigencdf"))
-    if name == "iid":
-        users = tuple(
-            UserSpec(clusters=tuple(ClusterSpec(direction=RANDOM_DIRECTION,
-                                                spread_fraction=1.0,
-                                                mean_power=p)
-                                    for p in CLUSTER_POWER_SPLIT))
-            for _ in range(6))
-        return ScenarioConfig(seed=seed, geometry=ArrayGeometry(n_antennas=128),
-                              users=users, realizations=1000,
-                              outputs=("eigencdf", "cross-correlation"))
-    if name == "fig2":
-        return _ring_config(seed, 0.1)
-    if name == "fig3":
-        return _ring_config(seed, 0.5)
-    if name == "fig4":
-        users = tuple(UserSpec(clusters=(ClusterSpec(direction=RANDOM_DIRECTION,
-                                                     spread_fraction=0.1,
-                                                     mean_power=1.0),))
-                      for _ in range(2))
-        return ScenarioConfig(seed=seed, geometry=ArrayGeometry(n_antennas=128),
-                              users=users, realizations=2000,
-                              outputs=("cross-correlation",))
-    if name == "fig5":
-        return _k6_config(seed, NLOS_SPREADS, ("eigencdf",))
-    return _k6_config(seed, NLOS_SPREADS, ("power-profile",), power_ramp=True)
+    directions, spreads, powers, n, realizations, outputs, ramp = _PRESETS[name]
+    if isinstance(directions[0], tuple):  # the frozen (principals, offsets) geometry
+        directions = [[float(np.mod(principal + s * offset, np.pi))
+                       for s, offset in zip(spreads, offsets)]
+                      for principal, offsets in zip(*directions)]
+    else:
+        directions = [[direction] * len(spreads) for direction in directions]
+    users = tuple(UserSpec(clusters=tuple(
+        ClusterSpec(direction=d, spread_fraction=s,
+                    mean_power=p * np.linspace(0.5, 1.5, n) if ramp else p)
+        for d, s, p in zip(user, spreads, powers))) for user in directions)
+    return ScenarioConfig(seed=seed, geometry=ArrayGeometry(n_antennas=n), users=users,
+                          realizations=realizations, outputs=outputs)
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,15 @@ grid takes a block of u1 values followed by a block of u2 values, and
 ``(n_links, 2, ...)`` block, which is the same sequence.
 
 ``CorrelationSpec`` validates its fields at construction, so
-``build_covariance`` only builds the matrix; ``check_length`` is the one
-check that a spec fits a resource grid.  A custom matrix must be real,
-square, symmetric, unit-diagonal and PSD, where PSD means that
-``cholesky_psd`` (LAPACK after a 1e-12 diagonal jitter) factors it.  The
-factor is built once per spec (``CorrelationSpec.lower``), for a custom
-matrix at construction as its PSD check, and the correlation itself is
-one batched BLAS ``matmul`` per block of links (``sample_link_grids``,
-the one sampler; a single link is ``n_links=1``).
+``build_covariance`` only builds the matrix; ``ScenarioConfig`` checks
+once that a spec's length fits the resource grid, and a mismatched spec
+that reaches the sampler fails in numpy's ``matmul``.  A custom matrix
+must be real, square, symmetric, unit-diagonal and PSD, where PSD means
+that ``cholesky_psd`` (LAPACK after a 1e-12 diagonal jitter) factors it.
+The factor is built once per spec (``CorrelationSpec.lower``), for a
+custom matrix at construction as its PSD check, and the correlation
+itself is one batched BLAS ``matmul`` per block of links
+(``sample_link_grids``, the one sampler; a single link is ``n_links=1``).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import NumericalError
 from .model import ResourceGrid, is_finite_real, is_int
 
 MODES = ("time", "frequency", "none")
@@ -182,16 +183,6 @@ def cholesky_psd(sigma: np.ndarray) -> np.ndarray:
                              "matrix is not positive semidefinite") from exc
 
 
-def check_length(spec: CorrelationSpec, grid: ResourceGrid):
-    """Raise ConfigError unless ``spec.length`` equals the correlated grid size."""
-    if spec.mode == "time" and spec.length != grid.t_max:
-        raise ConfigError(f"correlation length {spec.length} does not match "
-                          f"t_max {grid.t_max}")
-    if spec.mode == "frequency" and spec.length != grid.f_max:
-        raise ConfigError(f"correlation length {spec.length} does not match "
-                          f"f_max {grid.f_max}")
-
-
 def sample_link_grids(spec: CorrelationSpec, grid: ResourceGrid, n_antennas: int,
                       n_links: int, rng: np.random.Generator) -> np.ndarray:
     """Correlated grids of ``n_links`` consecutive links, shape
@@ -203,7 +194,6 @@ def sample_link_grids(spec: CorrelationSpec, grid: ResourceGrid, n_antennas: int
     batched BLAS product with the spec's cached factor ``L``: ``L @ z``
     along time, ``z @ L.T`` along frequency.
     """
-    check_length(spec, grid)
     z = link_normals(rng, n_links, (n_antennas, grid.t_max, grid.f_max))
     if spec.mode == "none":
         return z

@@ -264,7 +264,13 @@ class TestCli:
         (b'{"seed": 1' + b"0" * 4300 + b', "geometry": {"n_antennas": 4}, "users": '
          b'[{"clusters": [{"direction": 0.1, "spread_fraction": 0.5}]}], '
          b'"realizations": 1}', "unreadable number"),
-    ], ids=["oversized", "not-utf8", "deeply-nested", "kept-realizations", "huge-integer"])
+        # 4097 clusters at 4096 antennas: the (clusters, N) link table is one row too large
+        (json.dumps({"seed": 3, "geometry": {"n_antennas": 2 ** 12},
+                     "users": [{"clusters": [{"direction": 0.1, "spread_fraction": 0.5}]
+                                * (2 ** 12 + 1)}],
+                     "realizations": 1}).encode(), "too large: the link table"),
+    ], ids=["oversized", "not-utf8", "deeply-nested", "kept-realizations", "huge-integer",
+            "link-table"])
     def test_unreadable_or_oversized_document_exits_2(self, content, message, tmp_path,
                                                       capsys, monkeypatch):
         import blockfade.cli as cli

@@ -1,5 +1,6 @@
 """Tests for configuration parsing, presets, and the scenario runner."""
 
+import hashlib
 import json
 import re
 from dataclasses import fields, replace
@@ -21,6 +22,24 @@ MINIMAL = {
     "users": [{"clusters": [{"direction": 0.0, "spread_fraction": 1.0,
                              "mean_power": 1.0}]}],
     "realizations": 1,
+}
+
+
+# sha256 of each preset's config.json echo, as write_bundle writes it at
+# the preset's own realizations and bins
+_PRESET_ECHO_SHA256 = {
+    "iid": "423d23ce80082bd668628df663a14554347f3a02a5be6f964cbd65d607c04ed3",
+    "nlos": "a9d1100e00b1ffa5b8a595918b72568247400a303011e4f3b87437582062b7a8",
+    "los": "77831510fcdc1e2ebf6092aade3252a1179ca3845372af2cf7770c9f0259d304",
+    "paper-A": "05c543aff127cdf522100321ebfb717d47a190c411df041a10aaccd2514151c9",
+    "paper-B": "2a8e8ef6a6160a83da8d72267ef1b262f732e6a2c130b500508dcdef02270a10",
+    "paper-C": "5c963af76d549d6c5973488488b08f42637045d9d4d32d14af0bcf6d6dd201c4",
+    "paper-D": "e9a4963f320c750077db4b9bcd1eea0b75e34c361640a6e4275ccfd9c5561a72",
+    "fig2": "bf450816b57cd3b948f44256cb173d3acfb0ae614d6506feebcf5855432ad580",
+    "fig3": "eb67789ab2889a1724eb9babae9ef0f0d5e9dc35c8b5231dfa1dc93547e3caf4",
+    "fig4": "46b5e208a7ccaee31b9a23261734d361486490f44d42d02c368d11836ed7c1af",
+    "fig5": "ceefe29b8c235523160ad64e0a945aeb13e724b5919911f97b476739e4987016",
+    "fig6": "084741e3d70c653b241361c1e7f8172ffe0ae96958af61048899b35d7e23b507",
 }
 
 
@@ -209,6 +228,19 @@ class TestParseConfig:
         doc["outputs"] = ["power-profile"]
         parse_config(json.dumps(doc))
 
+    @pytest.mark.parametrize("clusters, ok", [(2 ** 12, True), (2 ** 12 + 1, False)])
+    def test_size_limit_of_link_table(self, clusters, ok):
+        # the link table holds (clusters, N) arrays, clusters summed over users
+        doc = _doc(geometry={"n_antennas": 2 ** 12})
+        cluster = doc["users"][0]["clusters"][0]
+        doc["users"] = [{"clusters": [cluster] * 2 ** 11},
+                        {"clusters": [cluster] * (clusters - 2 ** 11)}]
+        if ok:
+            parse_config(json.dumps(doc))
+        else:
+            with pytest.raises(ConfigError, match="too large: the link table"):
+                parse_config(json.dumps(doc))
+
     @pytest.mark.parametrize("output, limit, array", [
         ("eigencdf", 2 ** 9, "eigenvalues"),  # K = 2 eigenvalues per RB
         ("cross-correlation", 2 ** 10, "cross-correlation magnitudes"),  # 1 pair per RB
@@ -293,6 +325,12 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="unknown preset"):
             expand_preset("paper-E")
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_config_echo_pinned(self, name):
+        # every field of every preset, realizations and bins included
+        echo = json.dumps(config_to_dict(expand_preset(name)), indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(echo.encode()).hexdigest() == _PRESET_ECHO_SHA256[name]
 
     def test_paper_family_isolates_variables(self):
         a, b = expand_preset("paper-A"), expand_preset("paper-B")

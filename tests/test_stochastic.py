@@ -190,11 +190,6 @@ class TestSampleQBlock:
         sample_link_grids(spec, ResourceGrid(t_max=2, f_max=3), 4, 2, substream(1, 0))
         assert counting.calls == {"cholesky_psd": 1}
 
-    def test_length_mismatch_rejected(self):
-        spec = CorrelationSpec.exponential("time", 0.5, 8)
-        with pytest.raises(ValueError, match="length"):
-            sample_link_grids(spec, ResourceGrid(t_max=4, f_max=1), 1, 1, substream(1, 0))
-
     def test_block_sampling_shape(self):
         grid = ResourceGrid(t_max=3, f_max=2)
         block = sample_link_grids(CorrelationSpec.none(), grid, 5, 1, substream(2, 0))[0]
