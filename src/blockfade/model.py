@@ -10,12 +10,12 @@ it degenerates to i.i.d. Rayleigh fading.
 The spec types check their own fields once, at construction, so the
 numerics trust a constructed spec.  Direction and spread are fixed for a
 scenario, so ``link_table`` computes the amplitude, the Rician part and the
-phase ramp of every link once; per realization ``draw_means`` then draws
-the cluster phases and the "random" directions in one block of uniforms
-and forms every link's mean vector in one array operation, and
-``add_links`` adds the links ``p + r * q`` into the channel tensor.  These
-are the only functions that build a channel; a single link is a one-row
-``link_table``.
+phase ramp of every link once.  Per realization, or per chunk of them along
+a leading axis, ``draw_means`` draws the cluster phases and the "random"
+directions in one block of uniforms per realization and forms every link's
+mean vector in one array operation, and ``add_links`` adds the links
+``p + r * q`` into the channel tensor.  These are the only functions that
+build a channel; a single link is a one-row ``link_table``.
 """
 
 from __future__ import annotations
@@ -158,15 +158,26 @@ class ResourceGrid:
             object.__setattr__(self, name, int(v))
 
 
+def draw_uniforms(rng, shape: tuple) -> np.ndarray:
+    """``rng.random(shape)``; for a sequence of Generators, that same draw from
+    each, made with ``random(out=)`` into the rows of a leading axis."""
+    if isinstance(rng, np.random.Generator):
+        return rng.random(shape)
+    u = np.empty((len(rng),) + tuple(shape))
+    for generator, row in zip(rng, u):
+        generator.random(out=row)
+    return u
+
+
 def phase_ramps(theta, geometry: ArrayGeometry) -> np.ndarray:
-    """(len(theta), N) antenna phases of clusters at the directions theta.
+    """(..., N) antenna phases of clusters at the directions theta (...).
 
     The phase at antenna i (1-based) is
     ``(2*pi * spacing_ratio * cos(theta) * (i - 1)) mod 2*pi``;
     at quarter-wavelength spacing the slope is (pi/2)*cos(theta).
     """
     slope = TWO_PI * geometry.spacing_ratio * np.cos(np.asarray(theta, dtype=float))
-    return np.mod(slope[:, None] * np.arange(geometry.n_antennas), TWO_PI)
+    return np.mod(slope[..., None] * np.arange(geometry.n_antennas), TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -212,37 +223,37 @@ def link_table(users, geometry: ArrayGeometry) -> LinkTable:
 
 
 def link_means(table: LinkTable, phases, directions=()) -> np.ndarray:
-    """(L, N) spatial means ``p = |p| exp(1j * (ramp + phase))`` of every link.
+    """(..., L, N) spatial means ``p = |p| exp(1j * (ramp + phase))`` of every link.
 
-    ``phases`` holds each link's common phase offset, ``directions`` the
-    directions of the table's random links in their order.
+    ``phases`` (..., L) holds each link's common phase offset, ``directions``
+    (..., R) the directions of the table's random links in their order.
     """
     ramp = table.ramp
     if len(table.random_links):
-        ramp = ramp.copy()
-        ramp[table.random_links] = phase_ramps(directions, table.geometry)
-    return table.amp * np.exp(1j * (ramp + np.asarray(phases, dtype=float)[:, None]))
+        ramp = np.broadcast_to(ramp, np.shape(phases) + ramp.shape[-1:]).copy()
+        ramp[..., table.random_links, :] = phase_ramps(directions, table.geometry)
+    return table.amp * np.exp(1j * (ramp + np.asarray(phases, dtype=float)[..., None]))
 
 
-def draw_means(table: LinkTable, rng: np.random.Generator) -> np.ndarray:
-    """Spatial means of one realization from one ``rng.random`` block.
+def draw_means(table: LinkTable, rng) -> np.ndarray:
+    """Spatial means from one ``draw_uniforms`` block of ``rng``.
 
     Directions are ``pi * u`` and phases ``2*pi * u``, the same values as
     ``rng.uniform(0, pi)`` and ``rng.uniform(0, 2*pi)`` drawn one by one.
     """
-    u = rng.random(len(table.phase_at) + len(table.direction_at))
-    return link_means(table, TWO_PI * u[table.phase_at], np.pi * u[table.direction_at])
+    u = draw_uniforms(rng, (len(table.phase_at) + len(table.direction_at),))
+    return link_means(table, TWO_PI * u[..., table.phase_at], np.pi * u[..., table.direction_at])
 
 
 def add_links(h: np.ndarray, users, p: np.ndarray, r: np.ndarray, q: np.ndarray):
-    """Add links into the channel tensor h (t_max, f_max, N, K), in order.
+    """Add links into the channel tensor h (..., t_max, f_max, N, K), in order.
 
-    Link l adds ``p[l] + r[l] * q[l]`` to the column of user ``users[l]``
-    of every RB, where p and r are (L, N) spatial pairs and q the
-    (L, N, t_max, f_max) grids; users' clusters are summed in the order
-    the links are listed.
+    Link l adds ``p[..., l, :] + r[l] * q[..., l, :, :, :]`` to the column
+    of user ``users[l]`` of every RB, where p (..., L, N) and r (L, N) are
+    spatial pairs and q (..., L, N, t_max, f_max) the grids; users' clusters
+    are summed in the order the links are listed.
     """
-    # transpose, not np.moveaxis: its overhead shows on single-RB scenarios
-    terms = p[:, None, None, :] + r[:, None, None, :] * q.transpose(0, 2, 3, 1)
-    for j, term in zip(users, terms):
+    terms = r[:, None, None, :] * np.moveaxis(q, -3, -1)
+    terms += p[..., None, None, :]  # p + r * q, in place to keep the temporaries few
+    for j, term in zip(users, np.moveaxis(terms, -4, 0)):
         h[..., j] += term

@@ -47,10 +47,10 @@ DEFAULT_PRESET_SEED = 1000003
 # far below it.
 MAX_ARRAY_ENTRIES = 2 ** 24
 
-# Uniforms per link-grid draw (512 KiB): a realization draws its link grids
-# max(1, DRAW_BLOCK_UNIFORMS // (2*N*t_max*f_max)) links at a time, so a
-# single-RB scenario draws all its links at once and a large RB grid one
-# link at a time, which bounds the working set.
+# Uniforms per link-grid draw (512 KiB), bounding the working set: a kernel pass takes C =
+# max(1, DRAW_BLOCK_UNIFORMS // (t_max*f_max*max(2*links*N, users**2))) realizations, whose
+# uniforms and per-RB Gram matrices fit; at C = 1 it draws max(1, DRAW_BLOCK_UNIFORMS //
+# (2*N*t_max*f_max)) links at a time.  Only the config sets them, not the thread count.
 DRAW_BLOCK_UNIFORMS = 2 ** 16
 
 # Frozen validation geometry, a (principals, offsets) pair: stratified
@@ -331,48 +331,49 @@ def expand_preset(name: str, seed: int = DEFAULT_PRESET_SEED) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # orchestration
 
-def _realize(config: ScenarioConfig, links: LinkTable, index: int, needs: set,
-             kept: Optional[np.ndarray]) -> dict:
-    """Compute one realization's artifact contributions.
+def _realize_chunk(config: ScenarioConfig, links: LinkTable, indices: range, needs: set,
+                   kept: Optional[np.ndarray]) -> dict:
+    """Artifact contributions of the realizations in the range ``indices``, a chunk
+    of C = max(1, DRAW_BLOCK_UNIFORMS // (t_max*f_max*max(2*links*N, users**2))),
+    from one kernel pass, in realization order along a leading axis.
 
-    Draw order from substream(seed, index), the reproducibility contract:
-    first one spatial block of uniforms holding, per (user, cluster) in
+    Draw order from substream(seed, m), the reproducibility contract: first
+    one spatial block of uniforms holding, per (user, cluster) in
     lexicographic order, the direction (only for "random" clusters) and
     then the cluster phase; afterwards per (user, cluster) the link grid, a
-    u1 block followed by a u2 block.  Consecutive links are drawn together
-    as one block of that same sequence and added to the channel tensor in
-    (user, cluster) order before the next block is drawn.  Each statistic
-    is taken once over the (t_max, f_max, N, K) channel tensor, RBs in
-    t-major order.  With ``kept`` set it is assembled in ``kept[index]``, a
-    slice no other realization writes, so threads need no lock.
+    u1 block followed by a u2 block.  Consecutive links (all of them at
+    C > 1) are drawn as one block of that sequence into m's row of a (C, ...)
+    buffer and added in order before the next block.  Each statistic is
+    taken once over the (C, t_max, f_max, N, K) channel tensor, RBs t-major;
+    with ``kept`` set it is ``kept[indices]``, rows no other thread writes.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        rng = substream(config.seed, index)
-        n, grid = config.geometry.n_antennas, config.grid
-        p = draw_means(links, rng)
-        h = (np.zeros((grid.t_max, grid.f_max, n, config.n_users), dtype=complex)
-             if kept is None else kept[index])
+        rngs = [substream(config.seed, m) for m in indices]
+        n, grid, k = config.geometry.n_antennas, config.grid, config.n_users
+        p = draw_means(links, rngs)
+        h = (np.zeros((len(rngs), grid.t_max, grid.f_max, n, k), dtype=complex)
+             if kept is None else kept[indices.start:indices.stop])
         step = max(1, DRAW_BLOCK_UNIFORMS // (2 * n * grid.t_max * grid.f_max))
-        for a in range(0, len(p), step):
+        for a in range(0, len(links.user), step):
             block = slice(a, a + step)
             # the grids are bound to no name, so they are freed once added
-            add_links(h, links.user[block], p[block], links.r[block],
-                      sample_link_grids(config.correlation, grid, n, len(p[block]), rng))
+            add_links(h, links.user[block], p[:, block], links.r[block],
+                      sample_link_grids(config.correlation, grid, n, len(links.r[block]), rngs))
 
+        def rb_mean(x):  # each realization's mean over its RBs, in t-major order
+            return analytics.ordered_mean(x.reshape((len(rngs), -1) + x.shape[-2:]).swapaxes(0, 1))
         out = {}
         if needs & {"cross-correlation", "eigencdf"}:
             g = analytics.gram(h)
             if "cross-correlation" in needs:
-                iu = np.triu_indices(config.n_users, 1)
+                iu = np.triu_indices(k, 1)
                 out["offdiag"] = np.abs(g[..., iu[0], iu[1]]).ravel()
             if "eigencdf" in needs:
                 out["eigen"] = analytics.eigenvalues_hermitian(g).ravel()
         if "power-profile" in needs:
-            out["power"] = analytics.power_profile(h)
+            out["power"] = rb_mean(np.abs(h) ** 2)
         if "correlation-matrix" in needs:
-            k = config.n_users
-            out["xcorr"] = analytics.ordered_mean(
-                analytics.pairwise_correlation(h).reshape(-1, k, k))
+            out["xcorr"] = rb_mean(analytics.pairwise_correlation(h))
     return out
 
 
@@ -388,11 +389,12 @@ def _require_finite(artifacts: dict):
 def run_scenario(config: ScenarioConfig, out_dir=None, threads: int = 1) -> ReportBundle:
     """Run a scenario and compute its requested artifacts.
 
-    Realizations are independent substreams of the config seed; with
-    ``threads > 1`` they are computed concurrently but reduced in
-    realization order, so artifacts are bitwise identical to a
-    single-threaded run.  With ``out_dir`` set, artifacts are also written
-    as CSV/SVG files plus a manifest (see :mod:`blockfade.emit`).
+    Realizations are independent substreams of the config seed, computed
+    in chunks the config alone fixes; with ``threads > 1`` chunks run
+    concurrently but are reduced in realization order, so artifacts are
+    bitwise identical to a single-threaded run.  With ``out_dir`` set,
+    artifacts are also written as CSV/SVG files plus a manifest (see
+    :mod:`blockfade.emit`).
     """
     if not (is_int(threads) and threads >= 1):
         raise ConfigError(f"threads must be a positive integer, got {threads!r}")
@@ -402,12 +404,13 @@ def run_scenario(config: ScenarioConfig, out_dir=None, threads: int = 1) -> Repo
     if needs & {"histogram", "raw-channel"}:  # the outputs that keep every channel
         kept = np.zeros((config.realizations, config.grid.t_max, config.grid.f_max,
                          config.geometry.n_antennas, config.n_users), dtype=complex)
-    indices = range(config.realizations)
-    if threads == 1:
-        results = [_realize(config, links, m, needs, kept) for m in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=min(threads, config.realizations)) as pool:
-            results = list(pool.map(lambda m: _realize(config, links, m, needs, kept), indices))
+    size = max(1, DRAW_BLOCK_UNIFORMS // (config.grid.t_max * config.grid.f_max * max(
+        2 * len(links.user) * config.geometry.n_antennas, config.n_users ** 2)))
+    chunks = [range(config.realizations)[a:a + size] for a in range(0, config.realizations, size)]
+    realize = partial(_realize_chunk, config, links, needs=needs, kept=kept)
+    workers = min(threads, len(chunks))
+    with ThreadPoolExecutor(max_workers=workers) as pool:  # one worker: mapped here, no thread
+        results = list(map(realize, chunks) if workers == 1 else pool.map(realize, chunks))
 
     # an overflowing channel power only becomes a non-finite artifact here
     with np.errstate(over="ignore", invalid="ignore"):
@@ -425,10 +428,11 @@ def run_scenario(config: ScenarioConfig, out_dir=None, threads: int = 1) -> Repo
             eigen = np.concatenate([r["eigen"] for r in results])
             artifacts["eigencdf"] = analytics.empirical_cdf(eigen / config.mean_link_power())
         if "power-profile" in needs:
-            artifacts["power-profile"] = analytics.ordered_mean([r["power"] for r in results])
+            artifacts["power-profile"] = analytics.ordered_mean(
+                [row for r in results for row in r["power"]])
         if "correlation-matrix" in needs:
             artifacts["correlation-matrix"] = analytics.average_correlation(
-                [r["xcorr"] for r in results])
+                [row for r in results for row in r["xcorr"]])
         if "raw-channel" in needs:
             artifacts["raw-channel"] = kept
     _require_finite(artifacts)

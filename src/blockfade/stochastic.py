@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericalError
-from .model import ResourceGrid, is_finite_real, is_int
+from .model import ResourceGrid, draw_uniforms, is_finite_real, is_int
 
 MODES = ("time", "frequency", "none")
 
@@ -138,16 +138,19 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def link_normals(rng: np.random.Generator, n_links: int, shape) -> np.ndarray:
+def link_normals(rng, n_links: int, shape) -> np.ndarray:
     """(n_links,) + shape circularly-symmetric complex Gaussians, E|q|^2 = 1.
 
-    One draw of ``(n_links, 2) + shape`` uniforms: per link a u1 block and
-    then a u2 block, transformed by ``sqrt(-ln u1) * exp(2j*pi*u2)`` with u1
-    taken as ``1 - u`` in (0, 1]; real and imaginary parts each have
-    variance 1/2.
+    One ``draw_uniforms`` of ``(n_links, 2) + shape``: per link a u1 block
+    and then a u2 block, transformed by ``sqrt(-ln u1) * exp(2j*pi*u2)``
+    with u1 taken as ``1 - u`` in (0, 1]; real and imaginary parts each
+    have variance 1/2.
     """
-    u = rng.random((n_links, 2) + shape)
-    return np.sqrt(-np.log(1.0 - u[:, 0])) * np.exp(2j * np.pi * u[:, 1])
+    u1, u2 = np.moveaxis(draw_uniforms(rng, (n_links, 2) + tuple(shape)), -1 - len(shape), 0)
+    radius = np.subtract(1.0, u1, out=u1)  # the formula, in place in the fresh draw
+    np.sqrt(np.negative(np.log(radius, out=radius), out=radius), out=radius)
+    z = np.multiply(2j * np.pi, u2)
+    return np.multiply(radius, np.exp(z, out=z), out=z)
 
 
 def build_covariance(spec: CorrelationSpec) -> np.ndarray:
@@ -184,9 +187,9 @@ def cholesky_psd(sigma: np.ndarray) -> np.ndarray:
 
 
 def sample_link_grids(spec: CorrelationSpec, grid: ResourceGrid, n_antennas: int,
-                      n_links: int, rng: np.random.Generator) -> np.ndarray:
+                      n_links: int, rng) -> np.ndarray:
     """Correlated grids of ``n_links`` consecutive links, shape
-    (n_links, n_antennas, t_max, f_max), from one draw of uniforms.
+    (..., n_links, n_antennas, t_max, f_max), from one ``draw_uniforms``.
 
     Per link and antenna, mode "time" makes each column (fixed f) of the
     grid a CN(0, Sigma) draw, columns independent; mode "frequency" each

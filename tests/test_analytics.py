@@ -6,7 +6,7 @@ import pytest
 from blockfade import (ArrayGeometry, ClusterSpec, NumericalError, UserSpec,
                        coefficient_histogram, eigenvalues_hermitian, empirical_cdf, gram,
                        power_profile, substream)
-from blockfade.analytics import average_correlation, pairwise_correlation
+from blockfade.analytics import average_correlation, ordered_mean, pairwise_correlation
 from blockfade.emit import ecdf_rows
 from blockfade.model import link_means, link_table
 from blockfade.stochastic import link_normals
@@ -162,6 +162,19 @@ class TestUserCorrelation:
             corr = self.user_correlation(h)
             return corr[~np.eye(2, dtype=bool)].mean()
         assert mean_corr(128) < mean_corr(20)
+
+
+class TestOrderedMean:
+    def test_stack_reduces_like_its_rows_as_a_list(self):
+        # magnitudes 1e-8..1e8 make the float sum depend on the order of its terms
+        rng = substream(21, 0)
+        stack = rng.random((97, 3, 2)) * 10.0 ** rng.integers(-8, 9, (97, 3, 2))
+        by_rows = ordered_mean(list(stack))
+        assert ordered_mean(stack).tobytes() == by_rows.tobytes()
+        acc = np.zeros((3, 2))
+        for row in stack:
+            acc = acc + row
+        assert (acc / len(stack)).tobytes() == by_rows.tobytes()
 
 
 class TestCoefficientHistogram:

@@ -428,18 +428,34 @@ class TestRunScenario:
         bundle = run_scenario(parse_config(json.dumps(doc)))
         assert bundle.artifacts["histogram"]["counts"].sum() == 5 * 16 * 4
 
-    def test_statistics_run_once_per_realization(self, counting):
+    def test_statistics_run_once_per_chunk(self, counting):
         from blockfade import analytics, scenario
-        # both links fit one draw block, so each tensor is assembled in one call
+        # 11 realizations in chunks of 5: each chunk draws both links of all
+        # its realizations in one block and takes each statistic once
         counting(scenario, "add_links")
         for name in ("gram", "eigenvalues_hermitian", "pairwise_correlation"):
             counting(analytics, name)
-        doc = _doc(grid={"t_max": 2, "f_max": 3}, realizations=3,
-                   outputs=list(scenario.ARTIFACT_NAMES))
+        doc = _doc(geometry={"n_antennas": 512}, grid={"t_max": 2, "f_max": 3},
+                   realizations=11, outputs=list(scenario.ARTIFACT_NAMES))
         doc["users"] *= 2
-        run_scenario(parse_config(json.dumps(doc)))
+        config = parse_config(json.dumps(doc))
+        assert _chunk_size(config) == 5
+        run_scenario(config)
         assert counting.calls == {"add_links": 3, "gram": 3,
                                   "eigenvalues_hermitian": 3, "pairwise_correlation": 3}
+
+    def test_chunk_bounded_by_gram_stack(self, counting):
+        from blockfade import analytics
+        # 64 users at N=1 draw 128 uniforms but build 4096 Gram entries per
+        # realization, so a chunk holds 16 realizations, not 512
+        counting(analytics, "gram")
+        doc = _doc(realizations=40, outputs=["eigencdf", "cross-correlation"],
+                   geometry={"n_antennas": 1})
+        doc["users"] *= 64
+        config = parse_config(json.dumps(doc))
+        assert _chunk_size(config) == 16
+        run_scenario(config)
+        assert counting.calls == {"gram": 3}
 
     @pytest.mark.parametrize("name, payload", [
         ("cross-correlation", {"edges": np.array([0.0, 1.0]), "counts": np.array([2]),
@@ -455,7 +471,7 @@ class TestRunScenario:
         with pytest.raises(ValueError):
             run_scenario(self._config(), threads=0)
 
-    def test_worker_count_capped_at_realizations(self, monkeypatch):
+    def test_worker_count_capped_at_chunks(self, monkeypatch):
         from blockfade import scenario
         real_pool = scenario.ThreadPoolExecutor
         workers = []
@@ -464,9 +480,14 @@ class TestRunScenario:
             workers.append(max_workers)
             return real_pool(max_workers=max_workers)
         monkeypatch.setattr(scenario, "ThreadPoolExecutor", recording_pool)
-        # at most 3 threads start: one per realization
-        run_scenario(self._config(realizations=3), threads=10 ** 6)
-        assert workers == [3]
+        # at most 3 threads start, one per chunk of 4, 4 and 2 realizations;
+        # a single chunk runs in the calling thread
+        config = self._config(realizations=10, geometry={"n_antennas": 8192})
+        assert _chunk_size(config) == 4
+        run_scenario(config, threads=10 ** 6)
+        run_scenario(config, threads=2)
+        run_scenario(replace(config, realizations=4), threads=10 ** 6)
+        assert workers == [3, 2, 1]
 
     def test_determinism_shift_of_cross_correlation(self):
         # tight-spread random-direction pairs put mass above 0.4 yet push
@@ -518,6 +539,13 @@ def _links_per_draw(config) -> int:
                                           * grid.t_max * grid.f_max))
 
 
+def _chunk_size(config) -> int:
+    """Realizations per kernel pass: their uniforms and per-RB Gram matrices fit one draw."""
+    grid, links = config.grid, sum(len(u.clusters) for u in config.users)
+    per_rb = max(2 * links * config.geometry.n_antennas, config.n_users ** 2)
+    return max(1, DRAW_BLOCK_UNIFORMS // (per_rb * grid.t_max * grid.f_max))
+
+
 class TestRealizationKernel:
     """The batched kernel gives the same bits as the per-link functions."""
 
@@ -553,3 +581,21 @@ class TestRealizationKernel:
         one = run_scenario(config, out_dir=tmp_path / "one", threads=1)
         two = run_scenario(config, out_dir=tmp_path / "two", threads=2)
         assert one.manifest == two.manifest
+
+    @pytest.mark.parametrize("realizations", [29, 1])
+    def test_single_rb_chunk_edges(self, realizations, tmp_path):
+        users = [{"clusters": [{"direction": "random", "spread_fraction": 0.3 + 0.2 * j,
+                                "mean_power": 1.0 + j},
+                               {"direction": 0.5 * j + 0.2, "spread_fraction": 0.6,
+                                "mean_power": list(np.linspace(0.5, 1.5, 512))}][:2 - j % 2]}
+                 for j in range(3)]
+        config = parse_config(json.dumps(_doc(geometry={"n_antennas": 512}, users=users,
+                                              realizations=realizations, seed=45)))
+        # 5 links in chunks of 12: 29 realizations end in a partial third chunk
+        assert _chunk_size(config) == 12
+        assert _kernel_channels(config).tobytes() == _reference_channels(config).tobytes()
+
+        config = replace(config, outputs=ARTIFACT_NAMES)
+        manifests = [run_scenario(config, out_dir=tmp_path / str(threads), threads=threads)
+                     .manifest for threads in (1, 2, 3)]
+        assert manifests[0] == manifests[1] == manifests[2]
