@@ -69,11 +69,13 @@ def pairwise_correlation(h) -> np.ndarray:
     channel matrix or stack, shape (..., K, K); raises on a zero-norm
     (degenerate) user column."""
     h = np.asarray(h, dtype=complex)
-    norms = np.linalg.norm(h, axis=-2)
+    conj = np.conj(h)
+    g = np.abs(conj.swapaxes(-1, -2) @ h)
+    # np.linalg.norm(h, axis=-2) step by step, |h|^2 formed in the conjugate's bytes
+    norms = np.sqrt(np.add.reduce(np.multiply(conj, h, out=conj).real, axis=-2))
     if (norms == 0).any():
         bad = int(np.argwhere(norms == 0)[0, -1])
         raise NumericalError(f"user {bad} has a zero-norm channel column")
-    g = np.abs(np.conj(h).swapaxes(-1, -2) @ h)
     return g / (norms[..., :, None] * norms[..., None, :])
 
 

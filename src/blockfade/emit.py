@@ -64,20 +64,20 @@ def correlation_rows(matrix: np.ndarray) -> Iterable[str]:
 
 def raw_channel_rows(kept: np.ndarray) -> Iterable[str]:
     """Rows of the (realizations, t_max, f_max, N, K) channel array in C order, in
-    chunks of at most RAW_CHUNK_ROWS rows: one %-template, antenna and user indices
-    baked in, applied to a flat tuple of (realization, t, f, re, im) per row."""
+    chunks of at most RAW_CHUNK_ROWS rows: per RB a copy of one %-template with all
+    indices baked in, applied to the flat tuple of its (re, im) pairs."""
     n, k = kept.shape[-2:]
-    cells = [f"%d,%d,%d,{i},{j},%.17g,%.17g\n" for i in range(1, n + 1) for j in range(1, k + 1)]
+    cells = [f"@{i},{j},%.17g,%.17g\n" for i in range(1, n + 1) for j in range(1, k + 1)]
     per_rb = kept.reshape(-1, n * k)
     rbs, part = max(1, RAW_CHUNK_ROWS // (n * k)), min(n * k, RAW_CHUNK_ROWS)
     for a in range(0, len(per_rb), rbs):
-        rb = np.arange(a, min(a + rbs, len(per_rb)))
+        rb = np.unravel_index(np.arange(a, min(a + rbs, len(per_rb))), kept.shape[:3])
+        prefixes = [f"{m},{t},{f}," for m, t, f in (np.transpose(rb) + 1).tolist()]
         for s in range(0, n * k, part):
             values = per_rb[a:a + rbs, s:s + part]
-            args = np.empty(values.shape + (5,), dtype=object)
-            args[..., :3] = np.transpose(np.unravel_index(rb, kept.shape[:3]))[:, None] + 1
-            args[..., 3], args[..., 4] = values.real, values.imag
-            yield ("".join(cells[s:s + part]) * len(rb)) % tuple(args.ravel().tolist())
+            template = "".join(cells[s:s + part])
+            yield "".join(template.replace("@", prefix) for prefix in prefixes) % tuple(
+                np.stack((values.real, values.imag), -1).ravel().tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ validates their values.  Only the correlation object has its own form.
 from __future__ import annotations
 
 import json
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import partial
@@ -24,8 +25,9 @@ import numpy as np
 from . import analytics
 from .errors import ConfigError, NumericalError
 from .model import (RANDOM_DIRECTION, ArrayGeometry, ClusterSpec, LinkTable, ResourceGrid,
-                    UserSpec, add_links, draw_means, is_int, link_table)
-from .stochastic import CorrelationSpec, sample_link_grids, substream
+                    TWO_PI, UserSpec, add_links, is_int, link_means, link_table)
+from .stochastic import (CorrelationSpec, complex_normals, correlate, philox_keys, rekey,
+                         seed_pool)
 
 ARTIFACT_NAMES = ("histogram", "cross-correlation", "eigencdf",
                   "power-profile", "correlation-matrix", "raw-channel")
@@ -331,37 +333,67 @@ def expand_preset(name: str, seed: int = DEFAULT_PRESET_SEED) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # orchestration
 
-def _realize_chunk(config: ScenarioConfig, links: LinkTable, indices: range, needs: set,
-                   kept: Optional[np.ndarray]) -> dict:
+class _Workspace:
+    """One worker's Philox generator and chunk buffers for one ``run_scenario`` call;
+    a chunk uses the leading rows of each.  ``uniforms`` takes the link-grid
+    uniforms and, viewed as ``spare``, then the correlated grids; ``normals`` the
+    Gaussians and then the link terms, or in mode "none" (grids = Gaussians) the
+    terms go to ``spare``; ``h`` is the channel tensor of a run that keeps none."""
+
+    def __init__(self, config: ScenarioConfig, links: LinkTable, size: int, keep: bool):
+        n, t, f = config.geometry.n_antennas, config.grid.t_max, config.grid.f_max
+        step = min(len(links.user), max(1, DRAW_BLOCK_UNIFORMS // (2 * n * t * f)))
+        self.rng = np.random.Generator(np.random.Philox(0))  # re-keyed per realization
+        self.spatial = np.empty((size, len(links.phase_at) + len(links.direction_at)))
+        self.uniforms = np.empty((size, step, 2, n, t, f))
+        self.normals = np.empty((size, step, n, t, f), dtype=complex)
+        self.spare = self.uniforms.reshape(-1).view(complex).reshape(self.normals.shape)
+        self.means = np.empty((size, len(links.user), n), dtype=complex)
+        self.h = None if keep else np.empty((size, t, f, n, config.n_users), dtype=complex)
+
+
+def _realize_chunk(config: ScenarioConfig, links: LinkTable, pool: np.ndarray, ws: _Workspace,
+                   needs: set, kept: Optional[np.ndarray], indices: range) -> dict:
     """Artifact contributions of the realizations in the range ``indices``, a chunk
     of C = max(1, DRAW_BLOCK_UNIFORMS // (t_max*f_max*max(2*links*N, users**2))),
-    from one kernel pass, in realization order along a leading axis.
+    from one kernel pass in the worker's workspace ``ws``, in realization order
+    along a leading axis; ``pool`` is ``seed_pool(config.seed)``.
 
     Draw order from substream(seed, m), the reproducibility contract: first
     one spatial block of uniforms holding, per (user, cluster) in
     lexicographic order, the direction (only for "random" clusters) and
     then the cluster phase; afterwards per (user, cluster) the link grid, a
-    u1 block followed by a u2 block.  Consecutive links (all of them at
-    C > 1) are drawn as one block of that sequence into m's row of a (C, ...)
-    buffer and added in order before the next block.  Each statistic is
-    taken once over the (C, t_max, f_max, N, K) channel tensor, RBs t-major;
-    with ``kept`` set it is ``kept[indices]``, rows no other thread writes.
+    u1 block followed by a u2 block.  The generator is re-keyed to m's stream;
+    at C > 1 all links are one block, drawn into m's row after its spatial
+    block, at C = 1 consecutive links are drawn and added block by block.
+    Each statistic is taken once over the (C, t_max, f_max, N, K) channel
+    tensor, RBs t-major; with ``kept`` set it is ``kept[indices]``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        rngs = [substream(config.seed, m) for m in indices]
-        n, grid, k = config.geometry.n_antennas, config.grid, config.n_users
-        p = draw_means(links, rngs)
-        h = (np.zeros((len(rngs), grid.t_max, grid.f_max, n, k), dtype=complex)
-             if kept is None else kept[indices.start:indices.stop])
-        step = max(1, DRAW_BLOCK_UNIFORMS // (2 * n * grid.t_max * grid.f_max))
-        for a in range(0, len(links.user), step):
-            block = slice(a, a + step)
-            # the grids are bound to no name, so they are freed once added
-            add_links(h, links.user[block], p[:, block], links.r[block],
-                      sample_link_grids(config.correlation, grid, n, len(links.r[block]), rngs))
+        c, step, k = len(indices), ws.normals.shape[1], config.n_users
+        blocks = [slice(a, a + step) for a in range(0, len(links.user), step)]
+        for i, key in enumerate(philox_keys(pool, indices).tolist()):
+            rekey(ws.rng, key).random(out=ws.spatial[i])
+            if len(blocks) == 1:
+                ws.rng.random(out=ws.uniforms[i])
+        # directions pi * u and phases 2*pi * u: rng.uniform(0, pi) and (0, 2*pi) one by one
+        p = link_means(links, TWO_PI * ws.spatial[:c, links.phase_at],
+                       np.pi * ws.spatial[:c, links.direction_at], out=ws.means[:c])
+        h = ws.h[:c] if kept is None else kept[indices.start:indices.stop]
+        h.fill(0)
+        for block in blocks:
+            users = links.user[block]
+            u = ws.uniforms[:c, :len(users)]
+            if len(blocks) > 1:  # C = 1: the realization's stream goes on block by block
+                ws.rng.random(out=u)
+            z = complex_normals(u[:, :, 0], u[:, :, 1], ws.normals[:c, :len(users)])
+            q = correlate(config.correlation, z, ws.spare[:c, :len(users)])
+            terms = (ws.spare if q is z else ws.normals)[:c, :len(users)]
+            add_links(h, users, p[:, block], links.r[block], q,
+                      out=terms.reshape(terms.shape[:2] + h.shape[1:4]))
 
         def rb_mean(x):  # each realization's mean over its RBs, in t-major order
-            return analytics.ordered_mean(x.reshape((len(rngs), -1) + x.shape[-2:]).swapaxes(0, 1))
+            return analytics.ordered_mean(x.reshape((c, -1) + x.shape[-2:]).swapaxes(0, 1))
         out = {}
         if needs & {"cross-correlation", "eigencdf"}:
             g = analytics.gram(h)
@@ -402,18 +434,27 @@ def run_scenario(config: ScenarioConfig, out_dir=None, threads: int = 1) -> Repo
     links = link_table(config.users, config.geometry)
     kept = None
     if needs & {"histogram", "raw-channel"}:  # the outputs that keep every channel
-        kept = np.zeros((config.realizations, config.grid.t_max, config.grid.f_max,
+        kept = np.empty((config.realizations, config.grid.t_max, config.grid.f_max,
                          config.geometry.n_antennas, config.n_users), dtype=complex)
     size = max(1, DRAW_BLOCK_UNIFORMS // (config.grid.t_max * config.grid.f_max * max(
         2 * len(links.user) * config.geometry.n_antennas, config.n_users ** 2)))
     chunks = [range(config.realizations)[a:a + size] for a in range(0, config.realizations, size)]
-    realize = partial(_realize_chunk, config, links, needs=needs, kept=kept)
-    workers = min(threads, len(chunks))
-    with ThreadPoolExecutor(max_workers=workers) as pool:  # one worker: mapped here, no thread
-        results = list(map(realize, chunks) if workers == 1 else pool.map(realize, chunks))
+    pool, local = seed_pool(config.seed), threading.local()  # both freed when the run returns
 
+    def realize(chunk):
+        if not hasattr(local, "workspace"):  # one workspace per worker thread
+            local.workspace = _Workspace(config, links, size, keep=kept is not None)
+        return _realize_chunk(config, links, pool, local.workspace, needs, kept, chunk)
+
+    workers = min(threads, len(chunks))
+    results, power = [], 0  # power-profile rows are summed in realization order on arrival
     # an overflowing channel power only becomes a non-finite artifact here
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), \
+            ThreadPoolExecutor(max_workers=workers) as executor:  # one worker: no thread
+        for result in map(realize, chunks) if workers == 1 else executor.map(realize, chunks):
+            for row in result.pop("power", ()):
+                power += row
+            results.append(result)
         artifacts = {}
         if "histogram" in needs:
             artifacts["histogram"] = analytics.coefficient_histogram(kept.ravel(), config.bins)
@@ -428,8 +469,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None, threads: int = 1) -> Repo
             eigen = np.concatenate([r["eigen"] for r in results])
             artifacts["eigencdf"] = analytics.empirical_cdf(eigen / config.mean_link_power())
         if "power-profile" in needs:
-            artifacts["power-profile"] = analytics.ordered_mean(
-                [row for r in results for row in r["power"]])
+            artifacts["power-profile"] = power / config.realizations  # as ordered_mean
         if "correlation-matrix" in needs:
             artifacts["correlation-matrix"] = analytics.average_correlation(
                 [row for r in results for row in r["xcorr"]])

@@ -12,8 +12,10 @@ fixed transform ``sqrt(-ln u1) * exp(2j*pi*u2)`` applied to uniforms from a
 counter-based (Philox) stream, so a seed plus a stream path fully
 determines every value.  The stream order is part of that contract: a link
 grid takes a block of u1 values followed by a block of u2 values, and
-``link_normals`` draws several consecutive links as one
-``(n_links, 2, ...)`` block, which is the same sequence.
+several consecutive links drawn as one ``(n_links, 2, ...)`` block are the
+same sequence.  ``substream`` is the reference stream of a path; a run
+re-keys one generator per worker to it, with the keys SeedSequence would
+derive computed for a chunk of paths at once (``philox_keys``).
 
 ``CorrelationSpec`` validates its fields at construction, so
 ``build_covariance`` only builds the matrix; ``ScenarioConfig`` checks
@@ -23,8 +25,7 @@ must be real, square, symmetric, unit-diagonal and PSD, where PSD means
 that ``cholesky_psd`` (LAPACK after a 1e-12 diagonal jitter) factors it.
 The factor is built once per spec (``CorrelationSpec.lower``), for a
 custom matrix at construction as its PSD check, and the correlation
-itself is one batched BLAS ``matmul`` per block of links
-(``sample_link_grids``, the one sampler; a single link is ``n_links=1``).
+itself is one batched BLAS ``matmul`` per block of links (``correlate``).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericalError
-from .model import ResourceGrid, draw_uniforms, is_finite_real, is_int
+from .model import ResourceGrid, is_finite_real, is_int
 
 MODES = ("time", "frequency", "none")
 
@@ -138,18 +139,72 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def link_normals(rng, n_links: int, shape) -> np.ndarray:
-    """(n_links,) + shape circularly-symmetric complex Gaussians, E|q|^2 = 1.
+def _constants(init: int, mult: int, count: int) -> np.ndarray:
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return np.array(consts, dtype=np.uint32)
 
-    One ``draw_uniforms`` of ``(n_links, 2) + shape``: per link a u1 block
-    and then a u2 block, transformed by ``sqrt(-ln u1) * exp(2j*pi*u2)``
-    with u1 taken as ``1 - u`` in (0, 1]; real and imaginary parts each
-    have variance 1/2.
-    """
-    u1, u2 = np.moveaxis(draw_uniforms(rng, (n_links, 2) + tuple(shape)), -1 - len(shape), 0)
-    radius = np.subtract(1.0, u1, out=u1)  # the formula, in place in the fresh draw
+
+# numpy SeedSequence's hash constants, which no entropy changes: mix_entropy hashes the
+# 4 pool words, 12 word pairs and then 4 times per spawn word (2 at most here), and
+# generate_state hashes 4 words into a Philox key; _MIX are the multipliers of mix
+_HASH_A, _HASH_B = _constants(0x43B0D7E5, 0x931E8875, 24), _constants(0x8B51F9DD, 0x58F38DED, 4)
+_MIX = (0xCA01F9DD, 0x4973F715)
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of the rows of uint32 ``value`` in turn, from ``consts``."""
+    consts = consts.reshape((-1,) + (1,) * (value.ndim - 1))
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    result = _MIX[0] * x - _MIX[1] * y
+    return result ^ result >> 16
+
+
+def seed_pool(seed: int) -> np.ndarray:
+    """The entropy pool of ``SeedSequence(seed, spawn_key=(m,))``, seed < 2**64, before
+    its spawn words are mixed in: the seeding all realizations of a run share."""
+    pool = _hashmix(np.array([seed & 0xFFFFFFFF, seed >> 32, 0, 0], dtype=np.uint32),
+                    _HASH_A[:5])  # the seed's words, zero-padded
+    for src in range(4):  # each word mixed into the others
+        others = [dst for dst in range(4) if dst != src]
+        value = _hashmix(np.repeat(pool[src], 3), _HASH_A[4 + 3 * src:8 + 3 * src])
+        pool[others] = _mix(pool[others], value)
+    return pool
+
+
+def philox_keys(pool: np.ndarray, indices) -> np.ndarray:
+    """(len(indices), 2) uint64 Philox keys of ``substream(seed, m)`` for m in ``indices``,
+    ``pool = seed_pool(seed)``: the hash of the spawn words (one below 2**32, else
+    two) and ``generate_state(2, uint64)``, on every index at once."""
+    m = np.asarray(indices, dtype=np.uint64)
+    mixed = pool[:, None]
+    for i, (word, used) in enumerate(((m & 0xFFFFFFFF, True), (m >> 32, m >> 32 != 0))):
+        value = _hashmix(word.astype(np.uint32)[None], _HASH_A[16 + 4 * i:21 + 4 * i])
+        mixed = np.where(used, _mix(mixed, value), mixed)
+    state = _hashmix(mixed, _HASH_B)
+    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+def rekey(rng: np.random.Generator, key) -> np.random.Generator:
+    """Set ``rng`` (on Philox) to the start of the stream of ``key``, a ``philox_keys`` row."""
+    rng.bit_generator.state = {"bit_generator": "Philox", "buffer": (0,) * 4, "buffer_pos": 4,
+                               "state": {"counter": (0,) * 4, "key": key},
+                               "has_uint32": 0, "uinteger": 0}
+    return rng
+
+
+def complex_normals(u1: np.ndarray, u2: np.ndarray, out=None) -> np.ndarray:
+    """Circularly-symmetric complex Gaussians ``sqrt(-ln u1) * exp(2j*pi*u2)`` of two
+    equal blocks of uniforms, u1 taken as ``1 - u`` in (0, 1], into ``out`` if given;
+    E|q|^2 = 1.  The radius is formed in place in u1."""
+    radius = np.subtract(1.0, u1, out=u1)
     np.sqrt(np.negative(np.log(radius, out=radius), out=radius), out=radius)
-    z = np.multiply(2j * np.pi, u2)
+    z = np.multiply(2j * np.pi, u2, out=out)
     return np.multiply(radius, np.exp(z, out=z), out=z)
 
 
@@ -186,20 +241,20 @@ def cholesky_psd(sigma: np.ndarray) -> np.ndarray:
                              "matrix is not positive semidefinite") from exc
 
 
-def sample_link_grids(spec: CorrelationSpec, grid: ResourceGrid, n_antennas: int,
-                      n_links: int, rng) -> np.ndarray:
-    """Correlated grids of ``n_links`` consecutive links, shape
-    (..., n_links, n_antennas, t_max, f_max), from one ``draw_uniforms``.
-
-    Per link and antenna, mode "time" makes each column (fixed f) of the
-    grid a CN(0, Sigma) draw, columns independent; mode "frequency" each
-    row; mode "none" all entries i.i.d. CN(0, 1).  The correlation is one
-    batched BLAS product with the spec's cached factor ``L``: ``L @ z``
-    along time, ``z @ L.T`` along frequency.
-    """
-    z = link_normals(rng, n_links, (n_antennas, grid.t_max, grid.f_max))
+def correlate(spec: CorrelationSpec, z: np.ndarray, out=None) -> np.ndarray:
+    """Grids (..., t_max, f_max) of i.i.d. Gaussians z correlated in one batched BLAS
+    product, into ``out`` if given: mode "time" makes each column (fixed f) a
+    CN(0, Sigma) draw, ``L @ z``; "frequency" each row, ``z @ L.T``; "none" is z."""
     if spec.mode == "none":
         return z
     if spec.mode == "time":
-        return spec.lower @ z
-    return z @ spec.lower.T
+        return np.matmul(spec.lower, z, out=out)
+    return np.matmul(z, spec.lower.T, out=out)
+
+
+def sample_link_grids(spec: CorrelationSpec, grid: ResourceGrid, n_antennas: int,
+                      n_links: int, rng) -> np.ndarray:
+    """Correlated grids (n_links, n_antennas, t_max, f_max) of consecutive links from
+    one draw: per link a u1 block and then a u2 block."""
+    u = rng.random((n_links, 2, n_antennas, grid.t_max, grid.f_max))
+    return correlate(spec, complex_normals(u[:, 0], u[:, 1]))

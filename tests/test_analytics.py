@@ -9,7 +9,7 @@ from blockfade import (ArrayGeometry, ClusterSpec, NumericalError, UserSpec,
 from blockfade.analytics import average_correlation, ordered_mean, pairwise_correlation
 from blockfade.emit import ecdf_rows
 from blockfade.model import link_means, link_table
-from blockfade.stochastic import link_normals
+from blockfade.stochastic import complex_normals
 
 
 def _ramp_matrix(n, slopes, amplitude=1.0):
@@ -42,13 +42,13 @@ class TestGram:
         rng = substream(8, 0)
         vals = np.empty(m)
         for i in range(m):
-            h = link_normals(rng, 1, (n, k))[0]
+            h = complex_normals(*rng.random((2, n, k)))
             vals[i] = np.abs(gram(h)[0, 1]) ** 2
         assert abs(vals.mean() - 1 / n) <= 0.1 / n
 
     def test_hermitian_closure_and_trace(self):
         rng = substream(8, 1)
-        h = link_normals(rng, 1, (16, 5))[0]
+        h = complex_normals(*rng.random((2, 16, 5)))
         g = gram(h)
         assert np.array_equal(g, g.conj().T)
         trace = g.trace().real
@@ -118,7 +118,7 @@ class TestEmpiricalCDF:
         assert (cdf <= 2.5).mean() == 0.5
 
     def test_exponential_median(self):
-        q = link_normals(substream(16, 0), 1, (10 ** 4,))[0]
+        q = complex_normals(*substream(16, 0).random((2, 10 ** 4)))
         cdf = empirical_cdf(np.abs(q) ** 2)
         assert abs((cdf <= np.log(2)).mean() - 0.5) <= 0.02
 
@@ -137,7 +137,7 @@ class TestUserCorrelation:
         return average_correlation(pairwise_correlation(h))
 
     def test_identical_users(self):
-        h = link_normals(substream(17, 0), 1, (8, 1))[0]
+        h = complex_normals(*substream(17, 0).random((2, 8, 1)))
         corr = self.user_correlation(np.hstack([h, h])[None])
         assert corr[0, 1] == pytest.approx(1.0, abs=1e-12)
         assert corr[0, 0] == 1.0
@@ -158,7 +158,7 @@ class TestUserCorrelation:
         # same seeds, more antennas -> lower mean cross-correlation
         def mean_corr(n):
             rng = substream(18, n)
-            h = np.stack([link_normals(rng, 1, (n, 2))[0] for _ in range(300)])
+            h = np.stack([complex_normals(*rng.random((2, n, 2))) for _ in range(300)])
             corr = self.user_correlation(h)
             return corr[~np.eye(2, dtype=bool)].mean()
         assert mean_corr(128) < mean_corr(20)
@@ -195,7 +195,7 @@ class TestCoefficientHistogram:
         assert np.abs(radii - 0.9).max() <= diag
 
     def test_counts_cover_all_samples(self):
-        q = link_normals(substream(19, 0), 1, (5000,))[0]
+        q = complex_normals(*substream(19, 0).random((2, 5000)))
         hist = coefficient_histogram(q, bins_per_axis=16)
         assert hist["counts"].sum() == 5000
         assert hist["edges"][0] == -hist["edges"][-1]
@@ -210,7 +210,7 @@ class TestCoefficientHistogram:
 class TestPowerProfile:
     def test_flat_iid_profile(self):
         rng = substream(20, 0)
-        blocks = [link_normals(rng, 1, (8, 3))[0] for _ in range(10 ** 4)]
+        blocks = [complex_normals(*rng.random((2, 8, 3))) for _ in range(10 ** 4)]
         profile = power_profile(blocks)
         assert profile.shape == (8, 3)
         assert np.abs(profile - 1.0).max() <= 0.05

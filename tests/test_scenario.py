@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -599,3 +600,81 @@ class TestRealizationKernel:
         manifests = [run_scenario(config, out_dir=tmp_path / str(threads), threads=threads)
                      .manifest for threads in (1, 2, 3)]
         assert manifests[0] == manifests[1] == manifests[2]
+
+
+def _workspace_configs() -> dict:
+    """Three shapes of chunk: single-RB chunks of 12 realizations ending in a
+    partial chunk, and one-realization chunks of 6 links in blocks of 4 and 2
+    along time and along frequency."""
+    single = [{"clusters": [{"direction": "random", "spread_fraction": 0.3 + 0.2 * j,
+                             "mean_power": 1.0 + j},
+                            {"direction": 0.5 * j + 0.2, "spread_fraction": 0.6,
+                             "mean_power": list(np.linspace(0.5, 1.5, 512))}][:2 - j % 2]}
+              for j in range(3)]
+    multi = [{"clusters": [{"direction": 0.3 + j, "spread_fraction": 0.4,
+                            "mean_power": list(np.linspace(0.5, 1.5, 64))},
+                           {"direction": "random", "spread_fraction": 0.8,
+                            "mean_power": 0.5}]} for j in range(3)]
+    docs = {"none": _doc(geometry={"n_antennas": 512}, users=single, realizations=29, seed=45,
+                         bins=8)}
+    for mode, length in (("time", 14), ("frequency", 9)):
+        docs[mode] = _doc(geometry={"n_antennas": 64}, users=multi, realizations=3,
+                          grid={"t_max": 14, "f_max": 9}, seed=33, bins=8,
+                          correlation={"mode": mode, "model": "exponential", "rho": 0.7,
+                                       "length": length})
+    return {mode: parse_config(json.dumps(doc)) for mode, doc in docs.items()}
+
+
+class TestWorkspace:
+    """Each worker keeps one workspace for a run and reuses it for its chunks."""
+
+    # the outputs that keep every channel, and those computed from the workspace's
+    KEPT = ("histogram", "raw-channel")
+    STATISTICS = ("cross-correlation", "eigencdf", "power-profile", "correlation-matrix")
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_back_to_back_runs_match_runs_of_their_own(self, threads, tmp_path):
+        configs = _workspace_configs()
+        assert [_chunk_size(c) for c in configs.values()] == [12, 1, 1]
+        assert [_links_per_draw(c) for c in configs.values()] == [64, 4, 4]
+        digests = {}
+        # every shape twice, with and without kept channels, in one process
+        for rerun in range(2):
+            for mode, config in configs.items():
+                for outputs in (self.KEPT + self.STATISTICS, self.STATISTICS):
+                    bundle = run_scenario(replace(config, outputs=outputs), threads=threads,
+                                          out_dir=tmp_path / f"{mode}-{len(outputs)}-{rerun}")
+                    digests[mode, outputs, rerun] = dict((name, sha) for name, _, sha
+                                                         in bundle.manifest)
+                    if "raw-channel" in outputs and rerun == 0:
+                        assert bundle.artifacts["raw-channel"].tobytes() == \
+                            _reference_channels(config).tobytes()
+        for mode, config in configs.items():
+            kept, alone = (digests[mode, outputs, 0]
+                           for outputs in (self.KEPT + self.STATISTICS, self.STATISTICS))
+            assert digests[mode, self.STATISTICS, 1] == alone
+            assert digests[mode, self.KEPT + self.STATISTICS, 1] == kept
+            # a statistic of channels in the workspace is that of the kept channels
+            assert all(kept[name] == sha for name, sha in alone.items() if name != "config.json")
+            # and a fresh one-thread run writes the same bytes
+            fresh = run_scenario(replace(config, outputs=self.KEPT + self.STATISTICS),
+                                 out_dir=tmp_path / f"{mode}-fresh")
+            assert dict((name, sha) for name, _, sha in fresh.manifest) == kept
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_one_workspace_per_worker_freed_with_the_run(self, threads, monkeypatch):
+        from blockfade import scenario
+        made = []
+
+        def recording(*args, **kwargs):
+            workspace = real(*args, **kwargs)
+            made.append(weakref.ref(workspace))
+            return workspace
+        real = scenario._Workspace
+        monkeypatch.setattr(scenario, "_Workspace", recording)
+        config = _workspace_configs()["none"]  # 3 chunks
+        for outputs in (("raw-channel",), ("eigencdf",)):
+            del made[:]
+            run_scenario(replace(config, outputs=outputs), threads=threads)
+            assert 1 <= len(made) <= threads
+            assert all(ref() is None for ref in made)

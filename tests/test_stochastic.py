@@ -4,11 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockfade import (CorrelationSpec, NumericalError, ResourceGrid, build_covariance,
                        cholesky_psd, substream)
-from blockfade.stochastic import link_normals, sample_link_grids
-
+from blockfade.stochastic import (complex_normals, philox_keys, rekey, sample_link_grids,
+                                  seed_pool)
 
 
 class TestBuildCovariance:
@@ -96,7 +98,7 @@ class TestCholesky:
 
 class TestComplexNormal:
     def test_moments(self):
-        q = link_normals(substream(17, 0), 1, (10 ** 5,))[0]
+        q = complex_normals(*substream(17, 0).random((2, 10 ** 5)))
         n = q.size
         assert np.abs(q.mean()) <= 5 / np.sqrt(n)
         assert abs(np.mean(np.abs(q) ** 2) - 1.0) <= 0.02
@@ -159,7 +161,7 @@ class TestSampleQBlock:
     def test_matches_einsum_oracle(self, spec, grid):
         q = sample_link_grids(spec, grid, 7, 1, substream(41, 2))[0]
         # the same substream gives the same draws; the product is the explicit sum
-        z = link_normals(substream(41, 2), 1, (7, grid.t_max, grid.f_max))[0]
+        z = complex_normals(*substream(41, 2).random((2, 7, grid.t_max, grid.f_max)))
         lower = cholesky_psd(build_covariance(spec))
         if spec.mode == "time":
             expected = np.einsum("ab,nbf->naf", lower, z)
@@ -213,3 +215,40 @@ class TestSubstream:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
+
+
+def _substream_key(seed, index):
+    return substream(seed, index).bit_generator.state["state"]["key"]
+
+
+class TestPhiloxKeys:
+    """The batched keys are the Philox keys ``substream`` seeds, whatever the
+    number of 32-bit words of the seed and of the index."""
+
+    @pytest.mark.parametrize("index", [0, 2 ** 32 - 1, 2 ** 32])
+    @pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])
+    def test_key_of_one_index(self, seed, index):
+        keys = philox_keys(seed_pool(seed), [index])
+        assert keys.dtype == np.uint64 and keys.shape == (1, 2)
+        assert np.array_equal(keys[0], _substream_key(seed, index))
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])
+    def test_chunk_straddling_two_spawn_words(self, seed):
+        # indices from 2**32 on take a second spawn word
+        indices = range(2 ** 32 - 3, 2 ** 32 + 3)
+        expected = [_substream_key(seed, m) for m in indices]
+        assert np.array_equal(philox_keys(seed_pool(seed), indices), expected)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), index=st.integers(0, 2 ** 64 - 1))
+    def test_matches_substream(self, seed, index):
+        assert np.array_equal(philox_keys(seed_pool(seed), [index])[0],
+                              _substream_key(seed, index))
+
+    def test_rekeyed_generator_draws_the_substream(self):
+        rng = np.random.Generator(np.random.Philox(5))
+        rng.integers(0, 2 ** 31, size=3, dtype=np.uint32)  # leave a buffered half word
+        pool = seed_pool(7)
+        for index in (3, 2 ** 32 + 1, 3):
+            key = philox_keys(pool, [index])[0].tolist()
+            assert np.array_equal(rekey(rng, key).random(9), substream(7, index).random(9))
