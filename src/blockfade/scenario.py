@@ -366,8 +366,9 @@ def _realize_chunk(config: ScenarioConfig, links: LinkTable, pool: np.ndarray, w
     u1 block followed by a u2 block.  The generator is re-keyed to m's stream;
     at C > 1 all links are one block, drawn into m's row after its spatial
     block, at C = 1 consecutive links are drawn and added block by block.
-    Each statistic is taken once over the (C, t_max, f_max, N, K) channel
-    tensor, RBs t-major; with ``kept`` set it is ``kept[indices]``.
+    The statistics are taken over the (C, t_max, f_max, N, K) channel tensor,
+    RBs t-major, the Gram and correlation matrices one time row at a time;
+    with ``kept`` set the tensor is ``kept[indices]``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         c, step, k = len(indices), ws.normals.shape[1], config.n_users
@@ -394,9 +395,12 @@ def _realize_chunk(config: ScenarioConfig, links: LinkTable, pool: np.ndarray, w
 
         def rb_mean(x):  # each realization's mean over its RBs, in t-major order
             return analytics.ordered_mean(x.reshape((c, -1) + x.shape[-2:]).swapaxes(0, 1))
+
+        def per_time(stat):  # one time row of RBs at a time: stat's copies of h stay small
+            return np.concatenate([stat(h[:, t:t + 1]) for t in range(h.shape[1])], axis=1)
         out = {}
         if needs & {"cross-correlation", "eigencdf"}:
-            g = analytics.gram(h)
+            g = per_time(analytics.gram)
             if "cross-correlation" in needs:
                 iu = np.triu_indices(k, 1)
                 out["offdiag"] = np.abs(g[..., iu[0], iu[1]]).ravel()
@@ -405,7 +409,7 @@ def _realize_chunk(config: ScenarioConfig, links: LinkTable, pool: np.ndarray, w
         if "power-profile" in needs:
             out["power"] = rb_mean(np.abs(h) ** 2)
         if "correlation-matrix" in needs:
-            out["xcorr"] = rb_mean(analytics.pairwise_correlation(h))
+            out["xcorr"] = rb_mean(per_time(analytics.pairwise_correlation))
     return out
 
 

@@ -432,7 +432,8 @@ class TestRunScenario:
     def test_statistics_run_once_per_chunk(self, counting):
         from blockfade import analytics, scenario
         # 11 realizations in chunks of 5: each chunk draws both links of all
-        # its realizations in one block and takes each statistic once
+        # its realizations in one block, takes the Gram and correlation
+        # matrices once per time row of RBs (t_max = 2) and the eigenvalues once
         counting(scenario, "add_links")
         for name in ("gram", "eigenvalues_hermitian", "pairwise_correlation"):
             counting(analytics, name)
@@ -442,8 +443,8 @@ class TestRunScenario:
         config = parse_config(json.dumps(doc))
         assert _chunk_size(config) == 5
         run_scenario(config)
-        assert counting.calls == {"add_links": 3, "gram": 3,
-                                  "eigenvalues_hermitian": 3, "pairwise_correlation": 3}
+        assert counting.calls == {"add_links": 3, "gram": 6,
+                                  "eigenvalues_hermitian": 3, "pairwise_correlation": 6}
 
     def test_chunk_bounded_by_gram_stack(self, counting):
         from blockfade import analytics
