@@ -225,7 +225,7 @@ def link_means(table: LinkTable, phases, directions=(), out=None) -> np.ndarray:
     angle = out.imag  # ramp + phase: out is then 1j * (ramp + phase), bit for bit
     angle[...] = table.ramp
     for theta, link in zip(np.moveaxis(np.asarray(directions, dtype=float), -1, 0),
-                           table.random_links):  # in place, one random link at a time
+                           table.random_links, strict=True):  # in place, one at a time
         phase_ramps(theta, table.geometry, out=angle[..., link, :])
     angle += phases[..., None]
     out.real = 0.0
