@@ -1,7 +1,8 @@
 """CSV and SVG artifact emission with a sha256 manifest.
 
 Floats are rendered with 17 significant digits so repeated runs diff
-byte-identically.  Files stream to disk and into their sha256 in chunks;
+byte-identically.  Every writer applies one %-template to the flat list of
+its values (``%.17g`` for data, ``%.2f`` for SVG coordinates).  Files stream to disk and into their sha256 in chunks;
 ``raw_channel.csv`` is formatted ``RAW_CHUNK_ROWS`` rows at a time.
 """
 
@@ -21,10 +22,6 @@ from .scenario import ReportBundle, config_to_dict
 RAW_CHUNK_ROWS = 2 ** 16
 
 
-def fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def _centers(edges: np.ndarray) -> np.ndarray:
     return 0.5 * (edges[:-1] + edges[1:])
 
@@ -36,30 +33,45 @@ def _cdf_points(values: np.ndarray) -> tuple:
     return uniq, np.cumsum(counts) / len(values)
 
 
-def histogram_rows(hist: dict) -> Iterable[str]:
-    centers = _centers(hist["edges"])
-    for (i, j), count in np.ndenumerate(hist["counts"]):
-        yield f"{fmt(centers[i])},{fmt(centers[j])},{count}"
+def _fill(template: str, n: int, values: list, sep: str) -> str:
+    """n copies of the %-template ``template`` joined by ``sep``, applied at once to
+    the flat ``values``."""
+    return sep.join([template] * n) % tuple(values)
 
 
-def ecdf_rows(values: np.ndarray) -> Iterable[str]:
-    for v, p in zip(*_cdf_points(values)):
-        yield f"{fmt(v)},{fmt(p)}"
+def _rows(template: str, n: int, values: list) -> list:
+    """n CSV rows of one %-template, applied at once to the flat ``values``."""
+    return _fill(template, n, values, "\n").split("\n") if n else []
 
 
-def xcorr_rows(payload: dict) -> Iterable[str]:
-    for c, n in zip(_centers(payload["edges"]), payload["counts"]):
-        yield f"{fmt(c)},{int(n)}"
+def _interleave(*columns) -> list:
+    """The flat row-major values of equal-length columns, as Python numbers."""
+    return [x for row in zip(*(np.asarray(c).ravel().tolist() for c in columns)) for x in row]
 
 
-def power_profile_rows(profile: np.ndarray) -> Iterable[str]:
-    for (i, j), power in np.ndenumerate(profile):
-        yield f"{i + 1},{j + 1},{fmt(power)}"
+def histogram_rows(hist: dict) -> list:
+    centers, counts = _centers(hist["edges"]), hist["counts"]
+    i, j = np.indices(counts.shape).reshape(2, -1)
+    return _rows("%.17g,%.17g,%d", counts.size, _interleave(centers[i], centers[j], counts))
 
 
-def correlation_rows(matrix: np.ndarray) -> Iterable[str]:
-    for row in matrix:
-        yield ",".join(fmt(x) for x in row)
+def ecdf_rows(values: np.ndarray) -> list:
+    points, probs = _cdf_points(values)
+    return _rows("%.17g,%.17g", len(points), _interleave(points, probs))
+
+
+def xcorr_rows(payload: dict) -> list:
+    counts = payload["counts"]
+    return _rows("%.17g,%d", len(counts), _interleave(_centers(payload["edges"]), counts))
+
+
+def power_profile_rows(profile: np.ndarray) -> list:
+    i, j = np.indices(profile.shape).reshape(2, -1) + 1
+    return _rows("%d,%d,%.17g", profile.size, _interleave(i, j, profile))
+
+
+def correlation_rows(matrix: np.ndarray) -> list:
+    return _rows(",".join(["%.17g"] * matrix.shape[1]), len(matrix), matrix.ravel().tolist())
 
 
 def raw_channel_rows(kept: np.ndarray) -> Iterable[str]:
@@ -104,9 +116,9 @@ def _axes(x0, x1, y0, y1) -> str:
         f'<text x="{_M - 4}" y="{_M + 4}" font-size="11" text-anchor="end">{g(y1)}</text>\n')
 
 
-def _scale(v, lo, hi, out_lo, out_hi):
+def _scale(v, lo, hi, out_lo, out_hi) -> np.ndarray:
     span = hi - lo if hi > lo else 1.0
-    return out_lo + (v - lo) / span * (out_hi - out_lo)
+    return out_lo + (np.asarray(v, dtype=float) - lo) / span * (out_hi - out_lo)
 
 
 def svg_polylines(series, x_range, y_range) -> str:
@@ -116,9 +128,8 @@ def svg_polylines(series, x_range, y_range) -> str:
     y0, y1 = y_range
     parts = [_axes(x0, x1, y0, y1)]
     for k, (xs, ys) in enumerate(series):
-        pts = " ".join(
-            f"{_scale(x, x0, x1, _M, _W - _M):.2f},{_scale(y, y0, y1, _H - _M, _M):.2f}"
-            for x, y in zip(xs, ys))
+        pts = _fill("%.2f,%.2f", len(xs), _interleave(
+            _scale(xs, x0, x1, _M, _W - _M), _scale(ys, y0, y1, _H - _M, _M)), " ")
         parts.append(f'<polyline fill="none" stroke="{colors[k % len(colors)]}" '
                      f'stroke-width="1.5" points="{pts}"/>\n')
     return _svg("".join(parts))
@@ -130,15 +141,15 @@ def svg_heatmap(hist: dict) -> str:
     lo, hi = edges[0], edges[-1]
     parts = [_axes(lo, hi, lo, hi)]
     if peak > 0:
-        nz = np.argwhere(counts > 0)
-        for i, j in nz:
-            x = _scale(edges[i], lo, hi, _M, _W - _M)
-            x2 = _scale(edges[i + 1], lo, hi, _M, _W - _M)
-            y = _scale(edges[j + 1], lo, hi, _H - _M, _M)
-            y2 = _scale(edges[j], lo, hi, _H - _M, _M)
-            shade = int(235 * (1.0 - counts[i, j] / peak))
-            parts.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="{x2 - x:.2f}" '
-                         f'height="{y2 - y:.2f}" fill="rgb({shade},{shade},255)"/>\n')
+        i, j = np.nonzero(counts)
+        x = _scale(edges[i], lo, hi, _M, _W - _M)
+        x2 = _scale(edges[i + 1], lo, hi, _M, _W - _M)
+        y = _scale(edges[j + 1], lo, hi, _H - _M, _M)
+        y2 = _scale(edges[j], lo, hi, _H - _M, _M)
+        shade = (235 * (1.0 - counts[i, j] / peak)).astype(np.int64)
+        parts.append(_fill('<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" '
+                           'fill="rgb(%d,%d,255)"/>\n', len(i),
+                           _interleave(x, y, x2 - x, y2 - y, shade, shade), ""))
     return _svg("".join(parts))
 
 

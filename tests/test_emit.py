@@ -13,15 +13,20 @@ from blockfade import (coefficient_histogram, empirical_cdf, expand_preset, pars
                        run_scenario)
 from blockfade import emit
 from blockfade.cli import main
-from blockfade.emit import (correlation_rows, ecdf_rows, fmt, histogram_rows,
-                            power_profile_rows, raw_channel_rows, write_bundle)
+from blockfade.emit import (correlation_rows, ecdf_rows, histogram_rows,
+                            power_profile_rows, raw_channel_rows, svg_heatmap,
+                            svg_polylines, write_bundle, xcorr_rows)
 from blockfade.scenario import ReportBundle
+
+
+def fmt(x) -> str:
+    """One value in 17 significant digits, the reference conversion of every writer."""
+    return format(float(x), ".17g")
 
 
 class TestRows:
     def test_float_format_is_17_digits(self):
-        assert fmt(0.5) == "0.5"
-        assert fmt(1 / 3) == "0.33333333333333331"
+        assert correlation_rows(np.array([[0.5, 1 / 3]])) == ["0.5,0.33333333333333331"]
 
     def test_ecdf_rows(self):
         assert list(ecdf_rows(empirical_cdf([1, 2]))) == ["1,0.5", "2,1"]
@@ -44,6 +49,112 @@ class TestRows:
     def test_power_profile_rows_one_based(self):
         rows = list(power_profile_rows(np.array([[2.0], [3.0]])))
         assert rows == ["1,1,2", "2,1,3"]
+
+
+# Per-value formatters, the reference for the %-template writers: one f-string
+# and one fmt call per value, and _scale on one scalar at a time.
+
+def _oracle_histogram_rows(hist):
+    centers = emit._centers(hist["edges"])
+    for (i, j), count in np.ndenumerate(hist["counts"]):
+        yield f"{fmt(centers[i])},{fmt(centers[j])},{count}"
+
+
+def _oracle_ecdf_rows(values):
+    for v, p in zip(*emit._cdf_points(values)):
+        yield f"{fmt(v)},{fmt(p)}"
+
+
+def _oracle_xcorr_rows(payload):
+    for c, n in zip(emit._centers(payload["edges"]), payload["counts"]):
+        yield f"{fmt(c)},{int(n)}"
+
+
+def _oracle_power_profile_rows(profile):
+    for (i, j), power in np.ndenumerate(profile):
+        yield f"{i + 1},{j + 1},{fmt(power)}"
+
+
+def _oracle_correlation_rows(matrix):
+    for row in matrix:
+        yield ",".join(fmt(x) for x in row)
+
+
+def _oracle_scale(v, lo, hi, out_lo, out_hi):
+    span = hi - lo if hi > lo else 1.0
+    return out_lo + (v - lo) / span * (out_hi - out_lo)
+
+
+def _oracle_polyline_points(xs, ys, x_range, y_range):
+    (x0, x1), (y0, y1) = x_range, y_range
+    M, W, H = emit._M, emit._W, emit._H
+    return " ".join(f"{_oracle_scale(x, x0, x1, M, W - M):.2f},"
+                    f"{_oracle_scale(y, y0, y1, H - M, M):.2f}" for x, y in zip(xs, ys))
+
+
+def _oracle_heatmap_rects(hist):
+    edges, counts = hist["edges"], hist["counts"]
+    peak, lo, hi = counts.max(), edges[0], edges[-1]
+    M, W, H = emit._M, emit._W, emit._H
+    for i, j in np.argwhere(counts > 0):
+        x = _oracle_scale(edges[i], lo, hi, M, W - M)
+        x2 = _oracle_scale(edges[i + 1], lo, hi, M, W - M)
+        y = _oracle_scale(edges[j + 1], lo, hi, H - M, M)
+        y2 = _oracle_scale(edges[j], lo, hi, H - M, M)
+        shade = int(235 * (1.0 - counts[i, j] / peak))
+        yield (f'<rect x="{x:.2f}" y="{y:.2f}" width="{x2 - x:.2f}" '
+               f'height="{y2 - y:.2f}" fill="rgb({shade},{shade},255)"/>\n')
+
+
+# -0.0, subnormal-adjacent and huge magnitudes, integers held as floats and
+# repeated values (ties that _cdf_points merges)
+EDGE_VALUES = np.array([-0.0, 1e-300, 1e300, 3.0, -2.0, 3.0, 0.0, -1e300, 7.0, -2.0, 0.1,
+                        -1e-300, 5e-324, 1 / 3, 3.0])
+
+
+class TestTemplateWritersMatchPerValueFormatters:
+    def test_ecdf_rows(self):
+        for values in (EDGE_VALUES, EDGE_VALUES[:1], np.array([4.0] * 5)):
+            assert ecdf_rows(values) == list(_oracle_ecdf_rows(values))
+        # -0.0 and 0.0 are one tie: four samples at or below 0 of 15
+        assert ecdf_rows(EDGE_VALUES)[1:4] == ["-2,0.20000000000000001",
+                                               "-1e-300,0.26666666666666666",
+                                               "0,0.40000000000000002"]
+
+    def test_histogram_and_heatmap(self):
+        hist = {"edges": np.array([-1e300, -3.0, -0.0, 1e-300, 2.0, 1e300]),
+                "counts": np.array([[0, 3, 0, 1, 0], [7, 7, 0, 0, 2], [0, 0, 0, 0, 0],
+                                    [1, 0, 5, 0, 0], [0, 0, 0, 0, 9]], dtype=np.int64)}
+        assert histogram_rows(hist) == list(_oracle_histogram_rows(hist))
+        svg = svg_heatmap(hist)
+        rects = "".join(_oracle_heatmap_rects(hist))
+        assert rects.count("<rect x=") == 8 and rects in svg
+        assert svg.count("<rect") == 9  # the background and the eight nonzero bins
+        real = coefficient_histogram(EDGE_VALUES[3:] * (1 - 1j), bins_per_axis=4)
+        assert histogram_rows(real) == list(_oracle_histogram_rows(real))
+        assert "".join(_oracle_heatmap_rects(real)) in svg_heatmap(real)
+
+    def test_xcorr_power_profile_and_correlation_rows(self):
+        payload = {"edges": np.array([0.0, 1e-300, 0.5, 3.0, 1e300]),
+                   "counts": np.array([4, 0, 4, 12], dtype=np.int64)}
+        assert xcorr_rows(payload) == list(_oracle_xcorr_rows(payload))
+        profile = EDGE_VALUES[:12].reshape(4, 3)
+        assert power_profile_rows(profile) == list(_oracle_power_profile_rows(profile))
+        assert correlation_rows(profile) == list(_oracle_correlation_rows(profile))
+
+    @pytest.mark.parametrize("x_range, y_range", [((-2.0, 7.0), (0.0, 1.0)),
+                                                  ((1.0, 1.0), (-1e300, 1e300))])
+    def test_polyline_points(self, x_range, y_range):
+        xs = EDGE_VALUES[3:]
+        for ys in (EDGE_VALUES[:12], np.arange(12)):  # float and integer series
+            svg = svg_polylines([(xs, ys), (xs[::-1], ys)], x_range, y_range)
+            for a, b in ((xs, ys), (xs[::-1], ys)):
+                assert f'points="{_oracle_polyline_points(a, b, x_range, y_range)}"' in svg
+
+    def test_scale_keeps_the_scalar_operation_order(self):
+        v = np.random.default_rng(5).uniform(-3.0, 11.0, 2000)
+        want = [_oracle_scale(x, -2.5, 9.75, emit._H - emit._M, emit._M) for x in v]
+        assert emit._scale(v, -2.5, 9.75, emit._H - emit._M, emit._M).tolist() == want
 
 
 def _oracle_raw_rows(kept):
