@@ -9,11 +9,12 @@ it degenerates to i.i.d. Rayleigh fading.
 
 The spec types check their own fields once, at construction, so the
 numerics trust a constructed spec.  Direction and spread are fixed for a
-scenario, so ``link_table`` computes the amplitude, the Rician part and the
-phase ramp of every link once.  Per realization, or per chunk of them along
-a leading axis, ``link_means`` forms every link's mean vector from the
-cluster phases and the "random" directions in one array operation, and
-``add_links`` adds the links ``p + r * q`` into the channel tensor.  These are
+scenario, so ``link_table`` computes the Rician part and the phasor
+``|p| exp(1j * ramp)`` of every link once: the phasor is a scenario constant.
+Per realization, or per chunk of them along a leading axis, ``link_means``
+turns each fixed link's phasor by its cluster phase, one ``exp`` per link, and
+forms a "random" link's ramp from its drawn direction; ``add_links`` adds the
+links ``p + r * q`` into the channel tensor.  These are
 the only functions that build a channel; a single link is a one-row
 ``link_table``.
 """
@@ -180,9 +181,8 @@ class LinkTable:
     """
 
     geometry: ArrayGeometry
-    amp: np.ndarray           # (L, N) |p|
+    phasor: np.ndarray        # (L, N) |p| exp(1j * ramp) of a fixed link; |p| of a random one
     r: np.ndarray             # (L, N) Rician part s * sqrt(beta)
-    ramp: np.ndarray          # (L, N) phase ramps; rows of random links are 0
     user: tuple               # owning user of each link
     random_links: np.ndarray  # links whose direction is drawn per realization
     direction_at: np.ndarray  # their direction uniforms in the spatial draw
@@ -198,16 +198,15 @@ def link_table(users, geometry: ArrayGeometry) -> LinkTable:
     clusters = [c for user in users for c in user.clusters]
     beta = np.array([c.power_vector(geometry.n_antennas) for c in clusters])
     r = np.array([c.spread_fraction for c in clusters])[:, None] * np.sqrt(beta)
-    amp = np.sqrt(np.maximum(beta - r ** 2, 0.0))
+    phasor = np.sqrt(np.maximum(beta - r ** 2, 0.0)).astype(complex)
     random = np.array([c.is_random_direction for c in clusters])
-    ramp = np.zeros_like(amp)
-    ramp[~random] = phase_ramps([c.direction for c in clusters
-                                 if not c.is_random_direction], geometry)
+    phasor[~random] *= np.exp(1j * phase_ramps([c.direction for c in clusters
+                                                if not c.is_random_direction], geometry))
     # a random link takes two uniforms (direction, phase), a fixed one its phase
     phase_at = np.cumsum(random + 1) - 1
-    for array in (amp, r, ramp):
+    for array in (phasor, r):
         array.flags.writeable = False
-    return LinkTable(geometry=geometry, amp=amp, r=r, ramp=ramp,
+    return LinkTable(geometry=geometry, phasor=phasor, r=r,
                      user=tuple(j for j, user in enumerate(users) for _ in user.clusters),
                      random_links=np.flatnonzero(random), direction_at=phase_at[random] - 1,
                      phase_at=phase_at)
@@ -215,21 +214,24 @@ def link_table(users, geometry: ArrayGeometry) -> LinkTable:
 
 def link_means(table: LinkTable, phases, directions=(), out=None) -> np.ndarray:
     """(..., L, N) spatial means ``p = |p| exp(1j * (ramp + phase))`` of every link,
-    formed in place in ``out`` if given.
+    into ``out`` if given.
 
     ``phases`` (..., L) holds each link's common phase offset, ``directions``
-    (..., R) the directions of the table's random links in their order.
+    (..., R) the directions of the table's random links in their order.  A
+    fixed link's mean is its phasor turned by ``exp(1j * phase)``; a random
+    link's ramp is formed from its direction, one link at a time.
     """
     phases = np.asarray(phases, dtype=float)
-    out = np.empty(phases.shape + table.amp.shape[-1:], dtype=complex) if out is None else out
-    angle = out.imag  # ramp + phase: out is then 1j * (ramp + phase), bit for bit
-    angle[...] = table.ramp
+    out = np.multiply(table.phasor, np.exp(1j * phases)[..., None], out=out)
     for theta, link in zip(np.moveaxis(np.asarray(directions, dtype=float), -1, 0),
-                           table.random_links, strict=True):  # in place, one at a time
-        phase_ramps(theta, table.geometry, out=angle[..., link, :])
-    angle += phases[..., None]
-    out.real = 0.0
-    return np.multiply(table.amp, np.exp(out, out=out), out=out)
+                           table.random_links, strict=True):
+        mean = out[..., link, :]
+        angle = mean.imag  # ramp + phase: mean is then 1j * (ramp + phase), bit for bit
+        phase_ramps(theta, table.geometry, out=angle)
+        angle += phases[..., link, None]
+        mean.real = 0.0
+        np.multiply(table.phasor[link].real, np.exp(mean, out=mean), out=mean)
+    return out
 
 
 def add_links(h: np.ndarray, users, p: np.ndarray, r: np.ndarray, q: np.ndarray, out=None):

@@ -132,6 +132,49 @@ class TestBuildSpatialPair:
         assert np.allclose(shifted, base * np.exp(1j * 1.234))
 
 
+class TestLinkMeans:
+    """link_means of a table mixing fixed and "random" links, per-antenna powers
+    and zero-amplitude (spread 1) links, over a leading chunk axis."""
+
+    GEOMETRY = ArrayGeometry(n_antennas=5, spacing_ratio=0.3)
+    # (direction, spread, power) per cluster of two users
+    USERS = (((0.4, 0.3, tuple(np.linspace(0.5, 1.5, 5))), ("random", 0.5, 2.0),
+              (1.1, 1.0, 1.0)),
+             (("random", 1.0, 2.0), (2.0, 0.0, 0.7), ("random", 0.2, (1.0, 3.0, 0.5, 2.0, 1.0))))
+
+    def _table(self):
+        users = tuple(UserSpec(clusters=tuple(ClusterSpec(d, s, b) for d, s, b in user))
+                      for user in self.USERS)
+        return link_table(users, self.GEOMETRY)
+
+    def test_matches_closed_form(self):
+        table = self._table()
+        clusters = [c for user in self.USERS for c in user]
+        rng = np.random.default_rng(8)
+        phases = rng.uniform(0.0, 2 * np.pi, (3, len(clusters)))
+        directions = rng.uniform(0.0, np.pi, (3, 3))
+        out = np.full((3, len(clusters), 5), np.nan, dtype=complex)
+        p = link_means(table, phases, directions, out=out)
+        assert p is out
+        theta = iter(directions.T)
+        for link, (d, s, b) in enumerate(clusters):
+            beta = np.broadcast_to(np.asarray(b, dtype=float), 5)
+            amp = np.sqrt(np.maximum(beta - (s * np.sqrt(beta)) ** 2, 0.0))
+            ramp = phase_ramps(next(theta) if d == "random" else [d] * 3, self.GEOMETRY)
+            want = amp * np.exp(1j * (ramp + phases[:, link, None]))
+            # ramp + phase < 4*pi is rounded to within 4 eps, then exp adds a few ulp
+            assert np.all(np.abs(p[:, link] - want) <= 8 * np.finfo(float).eps * amp), link
+            if s == 1.0:
+                assert (p[:, link] == 0).all()  # zero amplitude: exactly 0
+        assert np.isfinite(p).all()
+
+    def test_phasor_is_read_only(self):
+        table = self._table()
+        with pytest.raises(ValueError):
+            table.phasor[0, 0] = 1.0
+        assert not table.r.flags.writeable
+
+
 class TestSpecValidation:
     def test_geometry(self):
         with pytest.raises(ValueError):
