@@ -2,8 +2,9 @@
 
 Floats are rendered with 17 significant digits so repeated runs diff
 byte-identically.  Every writer applies one %-template to the flat list of
-its values (``%.17g`` for data, ``%.2f`` for SVG coordinates).  Files stream to disk and into their sha256 in chunks;
-``raw_channel.csv`` is formatted ``RAW_CHUNK_ROWS`` rows at a time.
+its values (``%.17g`` for data, ``%.2f`` for SVG coordinates).  Files stream
+to disk and into their sha256 in chunks; ``raw_channel.csv`` is formatted
+``RAW_CHUNK_ROWS`` rows at a time.
 """
 
 from __future__ import annotations
