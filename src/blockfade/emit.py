@@ -34,45 +34,39 @@ def _cdf_points(values: np.ndarray) -> tuple:
     return uniq, np.cumsum(counts) / len(values)
 
 
-def _fill(template: str, n: int, values: list, sep: str) -> str:
-    """n copies of the %-template ``template`` joined by ``sep``, applied at once to
-    the flat ``values``."""
-    return sep.join([template] * n) % tuple(values)
+def _fill(template: str, sep: str, *columns) -> str:
+    """``template`` applied to each row of the equal-length ``columns``, joined by
+    ``sep``: one %-operation on the flat row-major values, as Python numbers."""
+    rows = list(zip(*(np.asarray(c).ravel().tolist() for c in columns)))
+    return sep.join([template] * len(rows)) % tuple(chain.from_iterable(rows))
 
 
-def _rows(template: str, n: int, values: list) -> list:
-    """n CSV rows of one %-template, applied at once to the flat ``values``."""
-    return _fill(template, n, values, "\n").split("\n") if n else []
-
-
-def _interleave(*columns) -> list:
-    """The flat row-major values of equal-length columns, as Python numbers."""
-    return [x for row in zip(*(np.asarray(c).ravel().tolist() for c in columns)) for x in row]
+def _rows(template: str, *columns) -> list:
+    """CSV rows of ``template`` applied to each row of ``columns``."""
+    return _fill(template, "\n", *columns).split("\n") if np.size(columns[0]) else []
 
 
 def histogram_rows(hist: dict) -> list:
     centers, counts = _centers(hist["edges"]), hist["counts"]
     i, j = np.indices(counts.shape).reshape(2, -1)
-    return _rows("%.17g,%.17g,%d", counts.size, _interleave(centers[i], centers[j], counts))
+    return _rows("%.17g,%.17g,%d", centers[i], centers[j], counts)
 
 
 def ecdf_rows(values: np.ndarray) -> list:
-    points, probs = _cdf_points(values)
-    return _rows("%.17g,%.17g", len(points), _interleave(points, probs))
+    return _rows("%.17g,%.17g", *_cdf_points(values))
 
 
 def xcorr_rows(payload: dict) -> list:
-    counts = payload["counts"]
-    return _rows("%.17g,%d", len(counts), _interleave(_centers(payload["edges"]), counts))
+    return _rows("%.17g,%d", _centers(payload["edges"]), payload["counts"])
 
 
 def power_profile_rows(profile: np.ndarray) -> list:
     i, j = np.indices(profile.shape).reshape(2, -1) + 1
-    return _rows("%d,%d,%.17g", profile.size, _interleave(i, j, profile))
+    return _rows("%d,%d,%.17g", i, j, profile)
 
 
 def correlation_rows(matrix: np.ndarray) -> list:
-    return _rows(",".join(["%.17g"] * matrix.shape[1]), len(matrix), matrix.ravel().tolist())
+    return _rows(",".join(["%.17g"] * matrix.shape[1]), *matrix.T)
 
 
 def raw_channel_rows(kept: np.ndarray) -> Iterable[str]:
@@ -129,8 +123,8 @@ def svg_polylines(series, x_range, y_range) -> str:
     y0, y1 = y_range
     parts = [_axes(x0, x1, y0, y1)]
     for k, (xs, ys) in enumerate(series):
-        pts = _fill("%.2f,%.2f", len(xs), _interleave(
-            _scale(xs, x0, x1, _M, _W - _M), _scale(ys, y0, y1, _H - _M, _M)), " ")
+        pts = _fill("%.2f,%.2f", " ", _scale(xs, x0, x1, _M, _W - _M),
+                    _scale(ys, y0, y1, _H - _M, _M))
         parts.append(f'<polyline fill="none" stroke="{colors[k % len(colors)]}" '
                      f'stroke-width="1.5" points="{pts}"/>\n')
     return _svg("".join(parts))
@@ -140,18 +134,15 @@ def svg_heatmap(hist: dict) -> str:
     edges, counts = hist["edges"], hist["counts"]
     peak = counts.max()
     lo, hi = edges[0], edges[-1]
-    parts = [_axes(lo, hi, lo, hi)]
-    if peak > 0:
-        i, j = np.nonzero(counts)
-        x = _scale(edges[i], lo, hi, _M, _W - _M)
-        x2 = _scale(edges[i + 1], lo, hi, _M, _W - _M)
-        y = _scale(edges[j + 1], lo, hi, _H - _M, _M)
-        y2 = _scale(edges[j], lo, hi, _H - _M, _M)
-        shade = (235 * (1.0 - counts[i, j] / peak)).astype(np.int64)
-        parts.append(_fill('<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" '
-                           'fill="rgb(%d,%d,255)"/>\n', len(i),
-                           _interleave(x, y, x2 - x, y2 - y, shade, shade), ""))
-    return _svg("".join(parts))
+    i, j = np.nonzero(counts)  # no rectangles when every count is 0
+    x = _scale(edges[i], lo, hi, _M, _W - _M)
+    x2 = _scale(edges[i + 1], lo, hi, _M, _W - _M)
+    y = _scale(edges[j + 1], lo, hi, _H - _M, _M)
+    y2 = _scale(edges[j], lo, hi, _H - _M, _M)
+    shade = (235 * (1.0 - counts[i, j] / peak)).astype(np.int64)
+    return _svg(_axes(lo, hi, lo, hi) + _fill(
+        '<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="rgb(%d,%d,255)"/>\n', "",
+        x, y, x2 - x, y2 - y, shade, shade))
 
 
 def svg_ecdf(values: np.ndarray) -> str:

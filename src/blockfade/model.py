@@ -9,14 +9,13 @@ it degenerates to i.i.d. Rayleigh fading.
 
 The spec types check their own fields once, at construction, so the
 numerics trust a constructed spec.  Direction and spread are fixed for a
-scenario, so ``link_table`` computes the Rician part and the phasor
-``|p| exp(1j * ramp)`` of every link once: the phasor is a scenario constant.
-Per realization, or per chunk of them along a leading axis, ``link_means``
-turns each fixed link's phasor by its cluster phase, one ``exp`` per link, and
-forms a "random" link's ramp from its drawn direction; ``add_links`` adds the
-links ``p + r * q`` into the channel tensor.  These are
-the only functions that build a channel; a single link is a one-row
-``link_table``.
+scenario, so ``link_table`` computes every link's Rician part and phasor
+``|p| exp(1j * ramp)`` once, as scenario constants.  Per realization, or per
+chunk of them along a leading axis, ``link_means`` turns each fixed link's
+phasor by its cluster phase, one ``exp`` per link, and forms a "random" link's
+ramp from its drawn direction; ``add_links`` adds the links ``p + r * q`` into
+the channel tensor.  These are the only functions that build a channel; a
+single link is a one-row ``link_table``.
 """
 
 from __future__ import annotations
@@ -214,12 +213,11 @@ def link_table(users, geometry: ArrayGeometry) -> LinkTable:
 
 def link_means(table: LinkTable, phases, directions=(), out=None) -> np.ndarray:
     """(..., L, N) spatial means ``p = |p| exp(1j * (ramp + phase))`` of every link,
-    into ``out`` if given.
+    into ``out`` if given: a fixed link's phasor turned by ``exp(1j * phase)``, a
+    random link's ramp formed from its direction, one link at a time.
 
     ``phases`` (..., L) holds each link's common phase offset, ``directions``
-    (..., R) the directions of the table's random links in their order.  A
-    fixed link's mean is its phasor turned by ``exp(1j * phase)``; a random
-    link's ramp is formed from its direction, one link at a time.
+    (..., R) the directions of the table's random links in their order.
     """
     phases = np.asarray(phases, dtype=float)
     out = np.multiply(table.phasor, np.exp(1j * phases)[..., None], out=out)

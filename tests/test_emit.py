@@ -130,6 +130,8 @@ class TestTemplateWritersMatchPerValueFormatters:
         rects = "".join(_oracle_heatmap_rects(hist))
         assert rects.count("<rect x=") == 8 and rects in svg
         assert svg.count("<rect") == 9  # the background and the eight nonzero bins
+        empty = {"edges": hist["edges"], "counts": np.zeros_like(hist["counts"])}
+        assert svg_heatmap(empty).count("<rect") == 1
         real = coefficient_histogram(EDGE_VALUES[3:] * (1 - 1j), bins_per_axis=4)
         assert histogram_rows(real) == list(_oracle_histogram_rows(real))
         assert "".join(_oracle_heatmap_rects(real)) in svg_heatmap(real)
