@@ -250,4 +250,3 @@ def correlate(spec: CorrelationSpec, z: np.ndarray, out=None) -> np.ndarray:
     if spec.mode == "time":
         return np.matmul(spec.lower, z, out=out)
     return np.matmul(z, spec.lower.T, out=out)
-
