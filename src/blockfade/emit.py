@@ -37,8 +37,10 @@ def _cdf_points(values: np.ndarray) -> tuple:
 def _fill(template: str, sep: str, *columns) -> str:
     """``template`` applied to each row of the equal-length ``columns``, joined by
     ``sep``: one %-operation on the flat row-major values, as Python numbers."""
-    rows = list(zip(*(np.asarray(c).ravel().tolist() for c in columns)))
-    return sep.join([template] * len(rows)) % tuple(chain.from_iterable(rows))
+    values = np.empty((np.size(columns[0]), len(columns)), dtype=object)
+    for k, column in enumerate(columns):
+        values[:, k] = np.ravel(column).tolist()
+    return sep.join([template] * len(values)) % tuple(values.flat)
 
 
 def _rows(template: str, *columns) -> list:
