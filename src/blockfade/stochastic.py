@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericalError
-from .model import is_finite_real, is_int
+from .model import ResourceGrid, is_finite_real, is_int
 
 MODES = ("time", "frequency", "none")
 
@@ -250,3 +250,11 @@ def correlate(spec: CorrelationSpec, z: np.ndarray, out=None) -> np.ndarray:
     if spec.mode == "time":
         return np.matmul(spec.lower, z, out=out)
     return np.matmul(z, spec.lower.T, out=out)
+
+
+def sample_link_grids(spec: CorrelationSpec, grid: ResourceGrid, n_antennas: int,
+                      n_links: int, rng) -> np.ndarray:
+    """Correlated grids (n_links, n_antennas, t_max, f_max) of consecutive links from
+    one draw: per link a u1 block and then a u2 block."""
+    u = rng.random((n_links, 2, n_antennas, grid.t_max, grid.f_max))
+    return correlate(spec, complex_normals(u[:, 0], u[:, 1]))

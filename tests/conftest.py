@@ -4,13 +4,6 @@ import collections
 
 import pytest
 
-import blockfade.stochastic
-from link_grids import sample_link_grids
-
-# tests/test_acceptance.py, the release gate, is kept as it was written and imports
-# the reference sampler from its former home in blockfade.stochastic
-blockfade.stochastic.sample_link_grids = sample_link_grids
-
 
 @pytest.fixture
 def counting(monkeypatch):

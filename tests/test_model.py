@@ -7,7 +7,7 @@ import pytest
 from blockfade import (ArrayGeometry, ClusterSpec, CorrelationSpec, ResourceGrid, UserSpec,
                        substream)
 from blockfade.model import add_links, link_means, link_table, phase_ramps
-from link_grids import sample_link_grids
+from blockfade.stochastic import sample_link_grids
 
 QUARTER = ArrayGeometry(n_antennas=4, spacing_ratio=0.25)
 

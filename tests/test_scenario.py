@@ -15,7 +15,7 @@ from blockfade import (ArrayGeometry, ClusterSpec, ConfigError, CorrelationSpec,
 from blockfade.model import link_means, link_table
 from blockfade.scenario import (ARTIFACT_NAMES, DRAW_BLOCK_UNIFORMS, MAX_ARRAY_ENTRIES,
                                 PRESET_NAMES, _require_finite, config_to_dict)
-from link_grids import sample_link_grids
+from blockfade.stochastic import sample_link_grids
 
 MINIMAL = {
     "seed": 7,

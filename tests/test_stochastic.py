@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from blockfade import (CorrelationSpec, NumericalError, ResourceGrid, build_covariance,
                        cholesky_psd, substream)
-from blockfade.stochastic import complex_normals, philox_keys, rekey, seed_pool
-from link_grids import sample_link_grids
+from blockfade.stochastic import (complex_normals, philox_keys, rekey, sample_link_grids,
+                                  seed_pool)
 
 
 class TestBuildCovariance:
