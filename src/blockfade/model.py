@@ -223,15 +223,12 @@ def link_means(table: LinkTable, phases, directions=(), out=None) -> np.ndarray:
     out = np.multiply(table.phasor, np.exp(1j * phases)[..., None], out=out)
     for theta, link in zip(np.moveaxis(np.asarray(directions, dtype=float), -1, 0),
                            table.random_links, strict=True):
-        amp = table.phasor[link].real
-        if not amp.any():  # spread 1: the product above has left the mean at 0
-            continue
         mean = out[..., link, :]
         angle = mean.imag  # ramp + phase: mean is then 1j * (ramp + phase), bit for bit
         phase_ramps(theta, table.geometry, out=angle)
         angle += phases[..., link, None]
         mean.real = 0.0
-        np.multiply(amp, np.exp(mean, out=mean), out=mean)
+        np.multiply(table.phasor[link].real, np.exp(mean, out=mean), out=mean)
     return out
 
 
