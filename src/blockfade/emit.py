@@ -2,9 +2,9 @@
 
 Floats are rendered with 17 significant digits so repeated runs diff
 byte-identically.  Every writer applies one %-template to the flat list of
-its values (``%.17g`` for data, ``%.2f`` for SVG coordinates).  Files stream
-to disk and into their sha256 in chunks; ``raw_channel.csv`` is formatted
-``RAW_CHUNK_ROWS`` rows at a time.
+its values (``%.17g`` for data, ``%.2f`` for SVG coordinates), ``FILL_ROWS``
+rows at a time.  Files stream to disk and into their sha256 in chunks;
+``raw_channel.csv`` is formatted ``RAW_CHUNK_ROWS`` rows at a time.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from .scenario import ReportBundle, config_to_dict
 
 # Rows of raw_channel.csv formatted at a time (~4 MiB of text)
 RAW_CHUNK_ROWS = 2 ** 16
+# Rows of any other CSV or SVG element list formatted at a time
+FILL_ROWS = 2 ** 10
 
 
 def _centers(edges: np.ndarray) -> np.ndarray:
@@ -36,39 +38,33 @@ def _cdf_points(values: np.ndarray) -> tuple:
 
 def _fill(template: str, sep: str, *columns) -> str:
     """``template`` applied to each row of the equal-length ``columns``, joined by
-    ``sep``: one %-operation on the flat row-major values, as Python numbers."""
-    values = np.empty((np.size(columns[0]), len(columns)), dtype=object)
-    for k, column in enumerate(columns):
-        values[:, k] = np.ravel(column).tolist()
-    return sep.join([template] * len(values)) % tuple(values.flat)
+    ``sep``: one %-operation per FILL_ROWS rows on their flat row-major values."""
+    table = np.stack([np.ravel(column) for column in columns], -1)
+    return sep.join(sep.join([template] * len(block)) % tuple(block.ravel().tolist())
+                    for block in np.split(table, range(FILL_ROWS, len(table), FILL_ROWS)))
 
 
-def _rows(template: str, *columns) -> list:
-    """CSV rows of ``template`` applied to each row of ``columns``."""
-    return _fill(template, "\n", *columns).split("\n") if np.size(columns[0]) else []
-
-
-def histogram_rows(hist: dict) -> list:
+def histogram_rows(hist: dict) -> str:
     centers, counts = _centers(hist["edges"]), hist["counts"]
     i, j = np.indices(counts.shape).reshape(2, -1)
-    return _rows("%.17g,%.17g,%d", centers[i], centers[j], counts)
+    return _fill("%.17g,%.17g,%d\n", "", centers[i], centers[j], counts)
 
 
-def ecdf_rows(values: np.ndarray) -> list:
-    return _rows("%.17g,%.17g", *_cdf_points(values))
+def ecdf_rows(values: np.ndarray) -> str:
+    return _fill("%.17g,%.17g\n", "", *_cdf_points(values))
 
 
-def xcorr_rows(payload: dict) -> list:
-    return _rows("%.17g,%d", _centers(payload["edges"]), payload["counts"])
+def xcorr_rows(payload: dict) -> str:
+    return _fill("%.17g,%d\n", "", _centers(payload["edges"]), payload["counts"])
 
 
-def power_profile_rows(profile: np.ndarray) -> list:
+def power_profile_rows(profile: np.ndarray) -> str:
     i, j = np.indices(profile.shape).reshape(2, -1) + 1
-    return _rows("%d,%d,%.17g", i, j, profile)
+    return _fill("%d,%d,%.17g\n", "", i, j, profile)
 
 
-def correlation_rows(matrix: np.ndarray) -> list:
-    return _rows(",".join(["%.17g"] * matrix.shape[1]), *matrix.T)
+def correlation_rows(matrix: np.ndarray) -> str:
+    return _fill(",".join(["%.17g"] * matrix.shape[1]) + "\n", "", *matrix.T)
 
 
 def raw_channel_rows(kept: np.ndarray) -> Iterable[str]:
@@ -172,8 +168,9 @@ def svg_power_profile(profile: np.ndarray) -> str:
 # ---------------------------------------------------------------------------
 # bundle writing
 
-# name -> (CSV file, CSV header or None, row formatter, SVG file or None,
-# SVG renderer), in the order the files are written
+# name -> (CSV file, CSV header or None, rows formatter, SVG file or None,
+# SVG renderer), in the order the files are written; a formatter ends each row
+# with a newline
 _ARTIFACTS = {
     "histogram": ("histogram.csv", "re_center,im_center,count", histogram_rows,
                   "histogram.svg", svg_heatmap),
@@ -224,12 +221,12 @@ def write_bundle(bundle: ReportBundle, out_dir) -> tuple:
         if name not in bundle.artifacts:
             continue
         payload = bundle.artifacts[name]
+        head = [header + "\n"] if header else []
         if name == "raw-channel":
-            emit(csv_file, chain([header + "\n"], rows_of(payload)), payload.size)
+            emit(csv_file, chain(head, rows_of(payload)), payload.size)
         else:
-            rows = list(rows_of(payload))
-            emit(csv_file, ["\n".join(([header] if header else []) + rows) + "\n"],
-                 len(rows))
+            text = rows_of(payload)
+            emit(csv_file, head + [text], text.count("\n"))
         if svg_file:
             emit(svg_file, [render(payload)], 0)
 

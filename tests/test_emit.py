@@ -26,15 +26,15 @@ def fmt(x) -> str:
 
 class TestRows:
     def test_float_format_is_17_digits(self):
-        assert correlation_rows(np.array([[0.5, 1 / 3]])) == ["0.5,0.33333333333333331"]
+        assert correlation_rows(np.array([[0.5, 1 / 3]])) == "0.5,0.33333333333333331\n"
 
     def test_ecdf_rows(self):
-        assert list(ecdf_rows(empirical_cdf([1, 2]))) == ["1,0.5", "2,1"]
+        assert ecdf_rows(empirical_cdf([1, 2])) == "1,0.5\n2,1\n"
 
     def test_histogram_rows_sum_to_total(self):
         hist = coefficient_histogram(np.array([1 + 1j, -1 - 1j, 0.5 + 0j]),
                                      bins_per_axis=2)
-        rows = list(histogram_rows(hist))
+        rows = histogram_rows(hist).splitlines()
         assert len(rows) == 4
         assert sum(int(r.split(",")[2]) for r in rows) == 3
 
@@ -42,13 +42,12 @@ class TestRows:
         matrix = np.array([[1.0, 0.25, 0.5],
                            [0.25, 1.0, 0.125],
                            [0.5, 0.125, 1.0]])
-        rows = list(correlation_rows(matrix))
+        rows = correlation_rows(matrix).splitlines()
         assert len(rows) == 3
         assert rows[0] == "1,0.25,0.5"
 
     def test_power_profile_rows_one_based(self):
-        rows = list(power_profile_rows(np.array([[2.0], [3.0]])))
-        assert rows == ["1,1,2", "2,1,3"]
+        assert power_profile_rows(np.array([[2.0], [3.0]])) == "1,1,2\n2,1,3\n"
 
 
 # Per-value formatters, the reference for the %-template writers: one f-string
@@ -115,9 +114,9 @@ EDGE_VALUES = np.array([-0.0, 1e-300, 1e300, 3.0, -2.0, 3.0, 0.0, -1e300, 7.0, -
 class TestTemplateWritersMatchPerValueFormatters:
     def test_ecdf_rows(self):
         for values in (EDGE_VALUES, EDGE_VALUES[:1], np.array([4.0] * 5)):
-            assert ecdf_rows(values) == list(_oracle_ecdf_rows(values))
+            assert ecdf_rows(values).splitlines() == list(_oracle_ecdf_rows(values))
         # -0.0 and 0.0 are one tie: four samples at or below 0 of 15
-        assert ecdf_rows(EDGE_VALUES)[1:4] == ["-2,0.20000000000000001",
+        assert ecdf_rows(EDGE_VALUES).splitlines()[1:4] == ["-2,0.20000000000000001",
                                                "-1e-300,0.26666666666666666",
                                                "0,0.40000000000000002"]
 
@@ -125,7 +124,7 @@ class TestTemplateWritersMatchPerValueFormatters:
         hist = {"edges": np.array([-1e300, -3.0, -0.0, 1e-300, 2.0, 1e300]),
                 "counts": np.array([[0, 3, 0, 1, 0], [7, 7, 0, 0, 2], [0, 0, 0, 0, 0],
                                     [1, 0, 5, 0, 0], [0, 0, 0, 0, 9]], dtype=np.int64)}
-        assert histogram_rows(hist) == list(_oracle_histogram_rows(hist))
+        assert histogram_rows(hist).splitlines() == list(_oracle_histogram_rows(hist))
         svg = svg_heatmap(hist)
         rects = "".join(_oracle_heatmap_rects(hist))
         assert rects.count("<rect x=") == 8 and rects in svg
@@ -133,16 +132,18 @@ class TestTemplateWritersMatchPerValueFormatters:
         empty = {"edges": hist["edges"], "counts": np.zeros_like(hist["counts"])}
         assert svg_heatmap(empty).count("<rect") == 1
         real = coefficient_histogram(EDGE_VALUES[3:] * (1 - 1j), bins_per_axis=4)
-        assert histogram_rows(real) == list(_oracle_histogram_rows(real))
+        assert histogram_rows(real).splitlines() == list(_oracle_histogram_rows(real))
         assert "".join(_oracle_heatmap_rects(real)) in svg_heatmap(real)
 
     def test_xcorr_power_profile_and_correlation_rows(self):
         payload = {"edges": np.array([0.0, 1e-300, 0.5, 3.0, 1e300]),
                    "counts": np.array([4, 0, 4, 12], dtype=np.int64)}
-        assert xcorr_rows(payload) == list(_oracle_xcorr_rows(payload))
+        assert xcorr_rows(payload).splitlines() == list(_oracle_xcorr_rows(payload))
         profile = EDGE_VALUES[:12].reshape(4, 3)
-        assert power_profile_rows(profile) == list(_oracle_power_profile_rows(profile))
-        assert correlation_rows(profile) == list(_oracle_correlation_rows(profile))
+        assert (power_profile_rows(profile).splitlines()
+                == list(_oracle_power_profile_rows(profile)))
+        assert (correlation_rows(profile).splitlines()
+                == list(_oracle_correlation_rows(profile)))
 
     @pytest.mark.parametrize("x_range, y_range", [((-2.0, 7.0), (0.0, 1.0)),
                                                   ((1.0, 1.0), (-1e300, 1e300))])
@@ -152,6 +153,16 @@ class TestTemplateWritersMatchPerValueFormatters:
             svg = svg_polylines([(xs, ys), (xs[::-1], ys)], x_range, y_range)
             for a, b in ((xs, ys), (xs[::-1], ys)):
                 assert f'points="{_oracle_polyline_points(a, b, x_range, y_range)}"' in svg
+
+    @pytest.mark.parametrize("fill_rows", [1, 4, 5])
+    def test_row_blocks_join_seamlessly(self, fill_rows, monkeypatch):
+        monkeypatch.setattr(emit, "FILL_ROWS", fill_rows)
+        assert ecdf_rows(EDGE_VALUES).splitlines() == list(_oracle_ecdf_rows(EDGE_VALUES))
+        xs, ys = EDGE_VALUES[3:], EDGE_VALUES[:12]
+        svg = svg_polylines([(xs, ys)], (-2.0, 7.0), (0.0, 1.0))
+        assert f'points="{_oracle_polyline_points(xs, ys, (-2.0, 7.0), (0.0, 1.0))}"' in svg
+        real = coefficient_histogram(EDGE_VALUES[3:] * (1 - 1j), bins_per_axis=4)
+        assert "".join(_oracle_heatmap_rects(real)) in svg_heatmap(real)
 
     def test_scale_keeps_the_scalar_operation_order(self):
         v = np.random.default_rng(5).uniform(-3.0, 11.0, 2000)
