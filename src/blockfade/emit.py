@@ -98,15 +98,13 @@ def _svg(inner: str) -> str:
 
 
 def _axes(x0, x1, y0, y1) -> str:
-    def g(v):
-        return format(v, ".6g")
     return (
         f'<line x1="{_M}" y1="{_H - _M}" x2="{_W - _M}" y2="{_H - _M}" stroke="black"/>\n'
         f'<line x1="{_M}" y1="{_M}" x2="{_M}" y2="{_H - _M}" stroke="black"/>\n'
-        f'<text x="{_M}" y="{_H - _M + 16}" font-size="11">{g(x0)}</text>\n'
-        f'<text x="{_W - _M}" y="{_H - _M + 16}" font-size="11" text-anchor="end">{g(x1)}</text>\n'
-        f'<text x="{_M - 4}" y="{_H - _M}" font-size="11" text-anchor="end">{g(y0)}</text>\n'
-        f'<text x="{_M - 4}" y="{_M + 4}" font-size="11" text-anchor="end">{g(y1)}</text>\n')
+        f'<text x="{_M}" y="{_H - _M + 16}" font-size="11">{x0:.6g}</text>\n'
+        f'<text x="{_W - _M}" y="{_H - _M + 16}" font-size="11" text-anchor="end">{x1:.6g}</text>\n'
+        f'<text x="{_M - 4}" y="{_H - _M}" font-size="11" text-anchor="end">{y0:.6g}</text>\n'
+        f'<text x="{_M - 4}" y="{_M + 4}" font-size="11" text-anchor="end">{y1:.6g}</text>\n')
 
 
 def _scale(v, lo, hi, out_lo, out_hi) -> np.ndarray:
