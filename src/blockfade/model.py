@@ -13,15 +13,16 @@ scenario, so ``link_table`` computes every link's Rician part and phasor
 ``|p| exp(1j * ramp)`` once, as scenario constants.  Per realization, or per
 chunk of them along a leading axis, ``link_means`` turns each fixed link's
 phasor by its cluster phase, one ``exp`` per link, and forms a "random" link's
-ramp from its drawn direction; ``add_links`` adds the links ``p + r * q`` into
-the channel tensor.  These are the only functions that build a channel; a
-single link is a one-row ``link_table``.
+ramp from its drawn direction; ``add_links`` writes the channel tensor from the
+means and the grids, drawn as ``r * q``.  These are the only functions that
+build a channel; a single link is a one-row ``link_table``.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import reduce
 from typing import Union
 
 import numpy as np
@@ -232,16 +233,21 @@ def link_means(table: LinkTable, phases, directions=(), out=None) -> np.ndarray:
     return out
 
 
-def add_links(h: np.ndarray, users, p: np.ndarray, r: np.ndarray, q: np.ndarray, out=None):
-    """Add links into the channel tensor h (..., t_max, f_max, N, K), in order.
-
-    Link l adds ``p[..., l, :] + r[l] * q[..., l, :, :, :]`` to the column
-    of user ``users[l]`` of every RB, where p (..., L, N) and r (L, N) are
-    spatial pairs and q (..., L, N, t_max, f_max) the grids; users' clusters
-    are summed in the order the links are listed.  The terms ``p + r * q``
-    are formed in ``out`` (..., L, t_max, f_max, N) if given.
-    """
-    terms = np.multiply(r[:, None, None, :], np.moveaxis(q, -3, -1), out=out)
-    terms += p[..., None, None, :]
-    for j, term in zip(users, np.moveaxis(terms, -4, 0)):
-        h[..., j] += term
+def add_links(h: np.ndarray, users, p: np.ndarray, grids, acc: np.ndarray):
+    """Write the channel tensor h (..., t_max, f_max, N, K) user by user: the column
+    of user j at every RB is ``sum_l r_l q_l + sum_l p_l`` over its links in order.
+    Link l is user ``users[l]``'s (a user's links are consecutive), p (..., L, N) holds
+    the means and ``grids`` yields the grids r * q (..., N, t_max, f_max) in order,
+    summed in ``acc`` (..., t_max, f_max, N), so that a user may span several draws."""
+    first = 0
+    for link, (j, grid) in enumerate(zip(users, grids, strict=True)):
+        grid = grid.transpose(*range(grid.ndim - 3), -2, -1, -3)  # (..., t_max, f_max, N)
+        if link > first:
+            grid = np.add(acc, grid, out=acc)
+        if link + 1 < len(users) and users[link + 1] == j:  # more links of user j follow
+            if link == first:
+                np.copyto(acc, grid)
+            continue
+        mean = reduce(np.add, (p[..., i, :] for i in range(first, link + 1)))
+        np.add(grid, mean[..., None, None, :], out=h[..., j])
+        first = link + 1

@@ -35,18 +35,11 @@ ARTIFACT_NAMES = ("histogram", "cross-correlation", "eigencdf",
 DEFAULT_BINS = 64
 DEFAULT_PRESET_SEED = 1000003
 
-# Largest array a run builds, in entries: the (t_max, f_max, N, K) channel
-# tensor of one realization (2**24 complex entries are 256 MiB), its
-# (t_max, f_max, K, K) per-RB Gram or correlation stack, the (clusters, N)
-# arrays of the link table and of its spatial means, the length x length
-# RB covariance, the bins x bins coefficient histogram and what an output
-# keeps of every realization until the end of the run: the channel
-# (histogram, raw-channel), the per-RB eigenvalues (eigencdf), the per-RB
-# user-pair magnitudes (cross-correlation), the (N, K) power profile
-# (power-profile) or the (K, K) correlation matrix (correlation-matrix).
-# A larger scenario is a ConfigError at validation, not a failed allocation
-# at run time; every preset, benchmark workload and README example stays
-# far below it.
+# Largest array a run builds, in entries (2**24 complex entries are 256 MiB).
+# ScenarioConfig sizes every array a run may build, of one realization or kept
+# for all of them, with the outputs that need it: a larger scenario is a
+# ConfigError at validation, not a failed allocation at run time.  Every preset,
+# benchmark workload and README example stays far below it.
 MAX_ARRAY_ENTRIES = 2 ** 24
 
 # Uniforms per link-grid draw (512 KiB), bounding the working set: a kernel pass takes C =
@@ -138,31 +131,26 @@ class ScenarioConfig:
         if axis and self.correlation.length != getattr(self.grid, axis):
             raise ConfigError(f"correlation length {self.correlation.length} does not match "
                               f"{axis} {getattr(self.grid, axis)}")
-        n = self.geometry.n_antennas
-        tensor = self.grid.t_max * self.grid.f_max * n * len(users)
-        sizes = {"channel tensor t_max*f_max*n_antennas*users": tensor,
-                 "link table clusters*n_antennas": sum(len(u.clusters) for u in users) * n,
-                 "covariance length**2": self.correlation.length ** 2,
-                 "histogram bins**2": self.bins ** 2}
-        if {"histogram", "raw-channel"} & set(self.outputs):
-            sizes["kept channel realizations*t_max*f_max*n_antennas*users"] = \
-                self.realizations * tensor
-        blocks = self.realizations * self.grid.t_max * self.grid.f_max
-        k = len(users)
-        if "eigencdf" in self.outputs:
-            sizes["eigenvalues realizations*t_max*f_max*users"] = blocks * k
-        if "cross-correlation" in self.outputs:
-            sizes["cross-correlation magnitudes realizations*t_max*f_max*users*(users-1)/2"] \
-                = blocks * k * (k - 1) // 2
-        if {"eigencdf", "cross-correlation", "correlation-matrix"} & set(self.outputs):
-            sizes["per-RB Gram stack t_max*f_max*users**2"] = \
-                self.grid.t_max * self.grid.f_max * k * k
-        if "power-profile" in self.outputs:
-            sizes["power profiles realizations*n_antennas*users"] = self.realizations * n * k
-        if "correlation-matrix" in self.outputs:
-            sizes["correlation matrices realizations*users**2"] = self.realizations * k * k
-        for array, entries in sizes.items():
-            if entries > MAX_ARRAY_ENTRIES:
+        n, k = self.geometry.n_antennas, len(users)
+        rbs, outputs = self.grid.t_max * self.grid.f_max, set(self.outputs)
+        for array, entries, needed in (  # the outputs that need the array; () for every run
+                ("channel tensor t_max*f_max*n_antennas*users", rbs * n * k, ()),
+                ("link table clusters*n_antennas", sum(len(u.clusters) for u in users) * n, ()),
+                ("covariance length**2", self.correlation.length ** 2, ()),
+                ("histogram bins**2", self.bins ** 2, ()),
+                ("kept channel realizations*t_max*f_max*n_antennas*users",
+                 self.realizations * rbs * n * k, {"histogram", "raw-channel"}),
+                ("eigenvalues realizations*t_max*f_max*users", self.realizations * rbs * k,
+                 {"eigencdf"}),
+                ("cross-correlation magnitudes realizations*t_max*f_max*users*(users-1)/2",
+                 self.realizations * rbs * k * (k - 1) // 2, {"cross-correlation"}),
+                ("per-RB Gram stack t_max*f_max*users**2", rbs * k * k,
+                 {"eigencdf", "cross-correlation", "correlation-matrix"}),
+                ("power profiles realizations*n_antennas*users", self.realizations * n * k,
+                 {"power-profile"}),
+                ("correlation matrices realizations*users**2", self.realizations * k * k,
+                 {"correlation-matrix"})):
+            if entries > MAX_ARRAY_ENTRIES and (not needed or needed & outputs):
                 raise ConfigError(f"scenario too large: the {array} has {entries} "
                                   f"entries, limit {MAX_ARRAY_ENTRIES}")
         for j, user in enumerate(users):
@@ -334,11 +322,11 @@ def expand_preset(name: str, seed: int = DEFAULT_PRESET_SEED) -> ScenarioConfig:
 # orchestration
 
 class _Workspace:
-    """One worker's Philox generator and chunk buffers for one ``run_scenario`` call;
-    a chunk uses the leading rows of each.  ``uniforms`` takes the link-grid
-    uniforms and, viewed as ``spare``, then the correlated grids; ``normals`` the
-    Gaussians and then the link terms, or in mode "none" (grids = Gaussians) the
-    terms go to ``spare``; ``h`` is the channel tensor of a run that keeps none."""
+    """One worker's Philox generator and chunk buffers for one ``run_scenario`` call; a
+    chunk uses the leading rows of each.  A block of link-grid uniforms goes to
+    ``uniforms``, gathered to ``normals`` (as ``flat``), its Gaussians of variance r**2
+    to ``uniforms`` (as ``spare``), the correlated grids to ``normals``, and a user's
+    sum of grids to ``acc``; ``h`` is the channel tensor of a run that keeps none."""
 
     def __init__(self, config: ScenarioConfig, links: LinkTable, size: int, keep: bool):
         n, t, f = config.geometry.n_antennas, config.grid.t_max, config.grid.f_max
@@ -348,31 +336,32 @@ class _Workspace:
         self.uniforms = np.empty((size, step, 2, n, t, f))
         self.normals = np.empty((size, step, n, t, f), dtype=complex)
         self.spare = self.uniforms.reshape(-1).view(complex).reshape(self.normals.shape)
+        self.flat = self.normals.reshape(-1).view(float)
+        self.acc = np.empty((size, t, f, n), dtype=complex)
+        self.variance = links.r[:, :, None, None] ** 2
         self.means = np.empty((size, len(links.user), n), dtype=complex)
         self.h = None if keep else np.empty((size, t, f, n, config.n_users), dtype=complex)
 
 
 def _realize_chunk(config: ScenarioConfig, links: LinkTable, pool: np.ndarray, ws: _Workspace,
                    needs: set, kept: Optional[np.ndarray], indices: range) -> dict:
-    """Artifact contributions of the realizations in the range ``indices``, a chunk
-    of C = max(1, DRAW_BLOCK_UNIFORMS // (t_max*f_max*max(2*links*N, users**2))),
-    from one kernel pass in the worker's workspace ``ws``, in realization order
-    along a leading axis; ``pool`` is ``seed_pool(config.seed)``.
+    """Artifact contributions of the C realizations in the range ``indices`` (see
+    DRAW_BLOCK_UNIFORMS), from one kernel pass in the worker's workspace ``ws``, in
+    realization order along a leading axis; ``pool`` is ``seed_pool(config.seed)``.
 
-    Draw order from substream(seed, m), the reproducibility contract: first
-    one spatial block of uniforms holding, per (user, cluster) in
-    lexicographic order, the direction (only for "random" clusters) and
-    then the cluster phase; afterwards per (user, cluster) the link grid, a
-    u1 block followed by a u2 block.  The generator is re-keyed to m's stream;
-    at C > 1 all links are one block, drawn into m's row after its spatial
-    block, at C = 1 consecutive links are drawn and added block by block.
-    The statistics are taken over the (C, t_max, f_max, N, K) channel tensor,
-    RBs t-major, the Gram and correlation matrices one time row at a time;
-    with ``kept`` set the tensor is ``kept[indices]``.
+    Draw order from substream(seed, m), the reproducibility contract: first one
+    spatial block of uniforms holding, per (user, cluster) in lexicographic order,
+    the direction (only for "random" clusters) and then the cluster phase;
+    afterwards per (user, cluster) the link grid, a u1 block followed by a u2 block.
+    The generator is re-keyed to m's stream; at C > 1 all links are one block, drawn
+    into m's row after its spatial block, at C = 1 consecutive links are drawn block
+    by block as ``add_links`` takes their grids.  The statistics are taken over the
+    (C, t_max, f_max, N, K) channel tensor, RBs t-major, the Gram and correlation
+    matrices one time row at a time; with ``kept`` set the tensor is ``kept[indices]``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        c, step, k = len(indices), ws.normals.shape[1], config.n_users
-        blocks = [slice(a, a + step) for a in range(0, len(links.user), step)]
+        c, step, k, n_links = len(indices), ws.normals.shape[1], config.n_users, len(links.user)
+        blocks = [slice(a, min(a + step, n_links)) for a in range(0, n_links, step)]
         for i, key in enumerate(philox_keys(pool, indices).tolist()):
             rekey(ws.rng, key).random(out=ws.spatial[i])
             if len(blocks) == 1:
@@ -381,17 +370,19 @@ def _realize_chunk(config: ScenarioConfig, links: LinkTable, pool: np.ndarray, w
         p = link_means(links, TWO_PI * ws.spatial[:c, links.phase_at],
                        np.pi * ws.spatial[:c, links.direction_at], out=ws.means[:c])
         h = ws.h[:c] if kept is None else kept[indices.start:indices.stop]
-        h.fill(0)
-        for block in blocks:
-            users = links.user[block]
-            u = ws.uniforms[:c, :len(users)]
-            if len(blocks) > 1:  # C = 1: the realization's stream goes on block by block
-                ws.rng.random(out=u)
-            z = complex_normals(u[:, :, 0], u[:, :, 1], ws.normals[:c, :len(users)])
-            q = correlate(config.correlation, z, ws.spare[:c, :len(users)])
-            terms = (ws.spare if q is z else ws.normals)[:c, :len(users)]
-            add_links(h, users, p[:, block], links.r[block], q,
-                      out=terms.reshape(terms.shape[:2] + h.shape[1:4]))
+
+        def grids():  # each link's grid r * q (C, N, t_max, f_max), one block at a time
+            for block in blocks:
+                width = block.stop - block.start
+                u = ws.uniforms[:c, :width]
+                if len(blocks) > 1:  # C = 1: the realization's stream goes on block by block
+                    ws.rng.random(out=u)
+                # every link's u1 and u2 gathered into two contiguous blocks
+                split = ws.flat[:u.size].reshape((2, c, width) + u.shape[3:])
+                np.copyto(split, u.transpose(2, 0, 1, 3, 4, 5))
+                z = complex_normals(*split, ws.variance[block], out=ws.spare[:c, :width])
+                yield from correlate(config.correlation, z, ws.normals[:c, :width]).swapaxes(0, 1)
+        add_links(h, links.user, p, grids(), ws.acc[:c])
 
         def rb_mean(x):  # each realization's mean over its RBs, in t-major order
             return analytics.ordered_mean(x.reshape((c, -1) + x.shape[-2:]).swapaxes(0, 1))

@@ -1,21 +1,22 @@
 """Correlated complex Gaussian grids driving channel variation across
 resource blocks.
 
-One grid per (antenna, user, cluster) link holds zero-mean unit-variance
+One grid per (antenna, user, cluster) link holds zero-mean
 circularly-symmetric Gaussian values indexed by (RB time, RB frequency).
 Correlation is imposed along exactly one RB dimension through a covariance
 matrix: along time it plays the role of Doppler spread, along frequency of
 delay spread.
 
-Sampling is reproducible across platforms: all Gaussians come from the
-fixed transform ``sqrt(-ln u1) * exp(2j*pi*u2)`` applied to uniforms from a
-counter-based (Philox) stream, so a seed plus a stream path fully
-determines every value.  The stream order is part of that contract: a link
-grid takes a block of u1 values followed by a block of u2 values, and
-several consecutive links drawn as one ``(n_links, 2, ...)`` block are the
-same sequence.  ``substream`` is the reference stream of a path; a run
-re-keys one generator per worker to it, with the keys SeedSequence would
-derive computed for a chunk of paths at once (``philox_keys``).
+Sampling is reproducible: all Gaussians come from the fixed transform
+``sqrt(-ln u1 * r**2) * exp(2j*pi*u2)`` (a link's grid ``r * q`` as drawn),
+by quarter turns, on uniforms from a counter-based (Philox) stream.  A seed
+and a stream path fix every uniform, and every value but the last digits
+that libm and BLAS may round otherwise on another platform.  The stream
+order is part of that contract: a link grid takes a block of u1 values
+followed by a block of u2 values, and several consecutive links drawn as
+one ``(n_links, 2, ...)`` block are the same sequence.  ``substream`` is
+the reference stream of a path; a run re-keys one generator per worker to
+it, with keys computed for a chunk of paths at once (``philox_keys``).
 
 ``CorrelationSpec`` validates its fields at construction, so
 ``build_covariance`` only builds the matrix; ``ScenarioConfig`` checks
@@ -115,26 +116,18 @@ class CorrelationSpec:
 
     @cached_property
     def lower(self) -> np.ndarray:
-        """Read-only Cholesky factor of the covariance, built on first use
-        (for a custom matrix at construction, as its PSD check).
-
-        The spec is frozen, so the factor depends on nothing else: it is
-        kept on the instance and shared by every ``correlate`` call and
-        thread that uses the spec.
-        """
+        """Read-only Cholesky factor of the covariance, built on first use (for a
+        custom matrix at construction, as its PSD check) and kept on the frozen
+        spec, shared by every ``correlate`` call and thread that uses the spec."""
         lower = cholesky_psd(build_covariance(self))
         lower.flags.writeable = False
         return lower
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
-    """Independent, reproducible random stream for (seed, *path).
-
-    Uses a counter-based Philox bit generator keyed by a spawn path, so
-    streams for different paths are statistically independent and any
-    (seed, path) pair regenerates the identical stream regardless of the
-    order or thread in which streams are consumed.
-    """
+    """Independent, reproducible random stream for (seed, *path): a counter-based
+    Philox keyed by the spawn path, so any (seed, path) regenerates the same stream
+    whatever the order or thread in which streams are consumed."""
     ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -198,14 +191,33 @@ def rekey(rng: np.random.Generator, key) -> np.random.Generator:
     return rng
 
 
-def complex_normals(u1: np.ndarray, u2: np.ndarray, out=None) -> np.ndarray:
-    """Circularly-symmetric complex Gaussians ``sqrt(-ln u1) * exp(2j*pi*u2)`` of two
-    equal blocks of uniforms, u1 taken as ``1 - u`` in (0, 1], into ``out`` if given;
-    E|q|^2 = 1.  The radius is formed in place in u1."""
-    radius = np.subtract(1.0, u1, out=u1)
-    np.sqrt(np.negative(np.log(radius, out=radius), out=radius), out=radius)
-    z = np.multiply(2j * np.pi, u2, out=out)
-    return np.multiply(radius, np.exp(z, out=z), out=z)
+def complex_normals(u1: np.ndarray, u2: np.ndarray, variance=1.0, out=None) -> np.ndarray:
+    """Circularly-symmetric complex Gaussians ``sqrt(-ln u1 * variance) * exp(2j*pi*u2)``,
+    E|q|^2 = variance, of two equal blocks of uniforms, u1 taken as ``1 - u`` in (0, 1],
+    into ``out`` if given; the blocks and out's bytes are the scratch.  The phase is
+    ``1j**k * (cos psi + 1j*sin psi)``, k = rint(4*u2), psi = 2*pi*(u2 - k/4) exactly,
+    |psi| <= pi/4 where libm is fast: u2 = 0, 1/4, 1/2, 3/4 give exactly 1, 1j, -1, -1j."""
+    radius = np.log(np.subtract(1.0, u1, out=u1), out=u1)
+    np.sqrt(np.multiply(radius, np.negative(variance), out=radius), out=radius)
+    out = np.empty(u1.shape, dtype=complex) if out is None else out
+    k, t = out.reshape(-1).view(np.uint64).reshape((2,) + u1.shape)
+    turns = np.multiply(4.0, u2, out=u2)
+    psi = np.subtract(turns, np.rint(turns, out=k, casting="unsafe"), out=turns)
+    psi *= np.pi / 2
+    # x + 1j*y on the bits: a half turn (k = 2, 3) flips the radius, an odd turn flips y
+    # and swaps x and y
+    x, y = radius.view(np.uint64), psi.view(np.uint64)
+    x ^= np.left_shift(np.bitwise_and(k, 2, out=t), 62, out=t)
+    cos = np.cos(psi, out=t.view(float))
+    np.multiply(radius, np.sin(psi, out=psi), out=psi)
+    radius *= cos
+    y ^= np.left_shift(k, 63, out=t)
+    np.negative(np.bitwise_and(k, 1, out=t), out=t)  # all ones at odd k
+    y ^= x
+    x ^= np.bitwise_and(t, y, out=t)
+    y ^= x
+    out.real, out.imag = radius, psi
+    return out
 
 
 def build_covariance(spec: CorrelationSpec) -> np.ndarray:
@@ -253,8 +265,9 @@ def correlate(spec: CorrelationSpec, z: np.ndarray, out=None) -> np.ndarray:
 
 
 def sample_link_grids(spec: CorrelationSpec, grid: ResourceGrid, n_antennas: int,
-                      n_links: int, rng) -> np.ndarray:
-    """Correlated grids (n_links, n_antennas, t_max, f_max) of consecutive links from
-    one draw: per link a u1 block and then a u2 block."""
+                      n_links: int, rng, variance=1.0) -> np.ndarray:
+    """Correlated grids (n_links, n_antennas, t_max, f_max) of consecutive links from one
+    draw, per link a u1 block and then a u2 block, of ``variance`` (..., n_antennas)."""
     u = rng.random((n_links, 2, n_antennas, grid.t_max, grid.f_max))
-    return correlate(spec, complex_normals(u[:, 0], u[:, 1]))
+    z = complex_normals(u[:, 0], u[:, 1], np.asarray(variance)[..., None, None])
+    return correlate(spec, z)

@@ -10,9 +10,10 @@ artifact must be byte-identical.  Elsewhere BLAS kernels may round
 differently, so the CSV artifacts are compared by value at rtol 1e-12
 against the stored copies and ``config.json`` by bytes; SVGs are skipped.
 
-After an intended change of the outputs, re-record with
-``PYTHONPATH=src python tests/test_golden.py`` and give the reason in
-CHANGES.md.
+After an intended change of the outputs, list what moved with
+``PYTHONPATH=src python tests/test_golden.py --diff`` (it writes nothing),
+then re-record with ``PYTHONPATH=src python tests/test_golden.py`` and give
+the reason and the listing in CHANGES.md.
 """
 
 import json
@@ -97,6 +98,33 @@ def record(path: str = GOLDEN_PATH) -> None:
         fh.write("\n")
 
 
+def diff(path: str = GOLDEN_PATH) -> None:
+    """Print, per case, the artifacts whose digest differs from the stored one and,
+    for a CSV, its largest value difference |got - want| / (|want| + scale), scale
+    the largest |want|: the off-platform comparison bounds it by 1e-12."""
+    import tempfile
+    with open(path, encoding="utf-8") as fh:
+        cases = json.load(fh)["cases"]
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, config in sorted(_cases().items()):
+            want = cases[name]
+            digests, csv = _run(config, os.path.join(tmp, name))
+            changed = []
+            for artifact in sorted(set(digests) | set(want["sha256"])):
+                if digests.get(artifact) == want["sha256"].get(artifact):
+                    continue
+                if artifact in csv and artifact in want["csv"]:
+                    got, expected = _values(csv[artifact]), _values(want["csv"][artifact])
+                    if got.shape != expected.shape:
+                        artifact += f" (shape {got.shape}, stored {expected.shape})"
+                    else:
+                        bound = np.abs(expected) + np.abs(expected).max(initial=0.0)
+                        rel = np.abs(got - expected) / np.where(bound > 0, bound, 1.0)
+                        artifact += f" {rel.max(initial=0.0):.2g}"
+                changed.append(artifact)
+            print(f"{name}: {', '.join(changed) or 'unchanged'}")
+
+
 @pytest.fixture(scope="module")
 def golden():
     with open(GOLDEN_PATH, encoding="utf-8") as fh:
@@ -122,5 +150,8 @@ def test_artifacts_match_golden(case, golden, tmp_path):
 
 
 if __name__ == "__main__":
-    record(sys.argv[1] if len(sys.argv) > 1 else GOLDEN_PATH)
-    print(f"recorded {sys.argv[1] if len(sys.argv) > 1 else GOLDEN_PATH}")
+    if sys.argv[1:] == ["--diff"]:
+        diff()
+    else:
+        record(sys.argv[1] if len(sys.argv) > 1 else GOLDEN_PATH)
+        print(f"recorded {sys.argv[1] if len(sys.argv) > 1 else GOLDEN_PATH}")

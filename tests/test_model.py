@@ -213,21 +213,21 @@ GRID = ResourceGrid(t_max=2, f_max=3)
 
 
 def _pairs_and_grids(spreads, directions, rng, betas=None, geometry=GEO, grid=GRID):
-    """(L, N) means p, (L, N) spreads r and (L, N, t_max, f_max) grids q of
+    """(L, N) means p, (L, N) spreads r and (L, N, t_max, f_max) grids r * q of
     one user's clusters."""
     betas = betas or [1.0] * len(spreads)
     user = UserSpec(clusters=tuple(ClusterSpec(direction=d, spread_fraction=s, mean_power=b)
                                    for s, d, b in zip(spreads, directions, betas)))
     table = link_table((user,), geometry)
     q = np.concatenate([sample_link_grids(CorrelationSpec.none(), grid, geometry.n_antennas,
-                                          1, rng) for _ in spreads])
+                                          1, rng, variance=r ** 2) for r in table.r])
     return link_means(table, [0.0] * len(spreads)), table.r, q
 
 
-def _assemble(p, r, q):
+def _assemble(p, q):
     """(t_max, f_max, N, 1) channel tensor of links that all belong to user 0."""
-    h = np.zeros(q.shape[2:] + (q.shape[1], 1), dtype=complex)
-    add_links(h, [0] * len(p), p, r, q)
+    h = np.empty(q.shape[2:] + (q.shape[1], 1), dtype=complex)
+    add_links(h, [0] * len(p), p, q, np.empty(h.shape[:-1], dtype=complex))
     return h
 
 
@@ -236,7 +236,7 @@ class TestAddLinks:
         rng = substream(1, 0)
         p, r, q = _pairs_and_grids([0.0, 0.0], [0.3, 1.1], rng, betas=[0.6, 0.4])
         expected = p[0] + p[1]
-        h = _assemble(p, r, q)
+        h = _assemble(p, q)
         for t in (1, 2):
             for f in (1, 2, 3):
                 assert np.array_equal(h[t - 1, f - 1][:, 0], expected)
@@ -244,15 +244,15 @@ class TestAddLinks:
     def test_single_unit_cluster_reduces_to_grid(self):
         rng = substream(1, 1)
         p, r, q = _pairs_and_grids([1.0], [0.5], rng)
-        h = _assemble(p, r, q)[2 - 1, 3 - 1]
+        h = _assemble(p, q)[2 - 1, 3 - 1]
         assert np.array_equal(h[:, 0], q[0][:, 1, 2])
 
     def test_block_fading_varies_only_across_rb_indices(self):
         rng = substream(1, 2)
         p, r, q = _pairs_and_grids([0.5], [0.7], rng)
-        again = _assemble(p, r, q)[0, 0]
-        first = _assemble(p, r, q)[0, 0]
-        other = _assemble(p, r, q)[0, 1]
+        again = _assemble(p, q)[0, 0]
+        first = _assemble(p, q)[0, 0]
+        other = _assemble(p, q)[0, 1]
         assert np.array_equal(first, again)
         assert not np.array_equal(first, other)
 
@@ -264,9 +264,8 @@ class TestAddLinks:
         p, r = spatial_pair(cluster, geometry)
         rng = substream(2, 0)
         samples = np.array([
-            _assemble(p[None], r[None],
-                      sample_link_grids(CorrelationSpec.none(), grid, 1, 1, rng)
-                      )[0, 0][0, 0]
+            _assemble(p[None], sample_link_grids(CorrelationSpec.none(), grid, 1, 1, rng,
+                                                 variance=r ** 2))[0, 0][0, 0]
             for _ in range(10 ** 4)])
         assert abs(samples.mean() - p[0]) <= 0.01
         std = np.sqrt(np.mean(np.abs(samples - samples.mean()) ** 2))
@@ -285,8 +284,8 @@ class TestAddLinks:
         m = 10 ** 4
         for _ in range(m):
             p = link_means(table, [rng.uniform(0, 2 * np.pi) for _ in clusters])
-            q = np.concatenate([sample_link_grids(CorrelationSpec.none(), grid, 2, 1, rng)
-                                for _ in clusters])
-            acc += np.abs(_assemble(p, table.r, q)[0, 0][:, 0]) ** 2
+            q = np.concatenate([sample_link_grids(CorrelationSpec.none(), grid, 2, 1, rng,
+                                                  variance=r ** 2) for r in table.r])
+            acc += np.abs(_assemble(p, q)[0, 0][:, 0]) ** 2
         acc /= m
         assert np.abs(acc - 1.2).max() <= 0.03 * 1.2

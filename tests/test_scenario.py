@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 import weakref
 from dataclasses import fields, replace
 
@@ -510,23 +511,34 @@ class TestRunScenario:
 def _reference_channels(config) -> np.ndarray:
     """(R, t_max, f_max, N, K) channel tensors built link by link, in the
     documented draw order: per (user, cluster) the direction of a "random"
-    cluster and the phase, then per (user, cluster) the link grid."""
+    cluster and the phase, then per (user, cluster) the link grid, its Rician
+    part r folded in as the variance r**2.  A user's column of every RB is
+    the sum of its grids in link order plus the sum of its means."""
     geometry, grid = config.geometry, config.grid
     n = geometry.n_antennas
     out = []
     for index in range(config.realizations):
         rng = substream(config.seed, index)
-        links = []
-        for j, user in enumerate(config.users):
+        users = []
+        for user in config.users:
+            links = []
             for cluster in user.clusters:
                 table = link_table((UserSpec(clusters=(cluster,)),), geometry)
                 direction = [rng.uniform(0.0, np.pi)] if cluster.is_random_direction else []
                 p = link_means(table, [rng.uniform(0.0, 2.0 * np.pi)], direction)[0]
-                links.append((j, p, table.r[0]))
-        h = np.zeros((grid.t_max, grid.f_max, n, config.n_users), dtype=complex)
-        for j, p, r in links:
-            q = sample_link_grids(config.correlation, grid, n, 1, rng)[0]
-            h[..., j] += p + r * q.transpose(1, 2, 0)
+                links.append((p, table.r[0]))
+            users.append(links)
+        h = np.empty((grid.t_max, grid.f_max, n, config.n_users), dtype=complex)
+        for j, links in enumerate(users):
+            grids = [sample_link_grids(config.correlation, grid, n, 1, rng, variance=r ** 2)[0]
+                     .transpose(1, 2, 0) for _, r in links]
+            acc = grids[0].copy()
+            for q in grids[1:]:
+                acc += q
+            mean = links[0][0]
+            for p, _ in links[1:]:
+                mean = mean + p
+            h[..., j] = acc + mean
         out.append(h)
     return np.array(out)
 
@@ -679,3 +691,38 @@ class TestWorkspace:
             run_scenario(replace(config, outputs=outputs), threads=threads)
             assert 1 <= len(made) <= threads
             assert all(ref() is None for ref in made)
+
+    def test_kernel_temporaries_stay_below_a_link_block(self, monkeypatch):
+        # 8 users x 3 clusters at N=128 on a time-correlated 14x12 grid: one realization
+        # per chunk and one link per draw.  After a warm-up, no chunk's kernel pass may
+        # peak at a link block's complex bytes, C*links*N*t_max*f_max*16: every
+        # block-sized buffer is the workspace's
+        from blockfade import scenario
+        users = [{"clusters": [{"direction": 0.1 + 0.37 * j + 0.05 * c, "spread_fraction": s,
+                                "mean_power": power}
+                               for c, (s, power) in enumerate(zip((0.6, 0.8, 1.0),
+                                                                  (0.5, 0.3, 0.2)))]}
+                 for j in range(8)]
+        config = parse_config(json.dumps(_doc(
+            geometry={"n_antennas": 128}, users=users, realizations=3,
+            grid={"t_max": 14, "f_max": 12}, outputs=["correlation-matrix"],
+            correlation={"mode": "time", "model": "exponential", "rho": 0.9, "length": 14})))
+        assert _chunk_size(config) == _links_per_draw(config) == 1
+        run_scenario(config)
+        peaks = []
+
+        def traced(*args):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            result = real(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            return result
+        real = scenario._realize_chunk
+        monkeypatch.setattr(scenario, "_realize_chunk", traced)
+        tracemalloc.start()
+        try:
+            run_scenario(config)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 3
+        assert max(peaks) < 128 * 14 * 12 * 16

@@ -107,6 +107,37 @@ class TestComplexNormal:
         assert abs(np.var(q.real) - 0.5) <= 0.02
         assert abs(np.var(q.imag) - 0.5) <= 0.02
 
+    def test_quarter_turns_are_exact(self):
+        u1 = substream(17, 1).random(4)
+        radius = np.sqrt(-np.log(1.0 - u1))
+        q = complex_normals(u1.copy(), np.array([0.0, 0.25, 0.5, 0.75]))
+        assert np.array_equal(q, radius * np.array([1, 1j, -1, -1j]))
+
+    def test_phase_within_two_ulp_of_the_radius(self):
+        # random draws, the quarter turns' neighbours 1 ulp away, the ties of rint(4*u2)
+        # and the largest uniform below 1, against a long-double exp(2j*pi*u2)
+        quarters = np.arange(4) / 4
+        u2 = np.concatenate([substream(17, 2).random(10 ** 5),
+                             np.nextafter(quarters, 1.0), np.nextafter(quarters[1:], 0.0),
+                             quarters + 1 / 8, [1.0 - 2.0 ** -53]])
+        u1 = substream(17, 3).random(u2.size)
+        radius = np.sqrt(-np.log(1.0 - u1))
+        q = complex_normals(u1.copy(), u2.copy())
+        pi = np.arccos(np.longdouble(-1.0))
+        exact = radius * np.exp(2j * pi * u2.astype(np.longdouble))
+        ulp = np.spacing(radius)
+        assert (np.abs(q.real - exact.real) <= 2 * ulp).all()
+        assert (np.abs(q.imag - exact.imag) <= 2 * ulp).all()
+
+    def test_variance_folds_into_the_radius(self):
+        # per-antenna r, the first 0: a spread-0 link's grid is exactly zero
+        u = substream(17, 4).random((2, 32, 3, 5))
+        r = np.linspace(0.0, 3.0, 32)[:, None, None]
+        scaled = complex_normals(*u.copy(), variance=r ** 2)
+        np.testing.assert_allclose(scaled, r * complex_normals(*u.copy()),
+                                   rtol=4 * np.finfo(float).eps, atol=0.0)
+        assert (scaled[0] == 0).all()
+
 
 class TestSampleQBlock:
     def test_iid_mode_moments(self):
