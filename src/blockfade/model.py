@@ -238,10 +238,9 @@ def add_links(h: np.ndarray, users, p: np.ndarray, grids, acc: np.ndarray):
     of user j at every RB is ``sum_l r_l q_l + sum_l p_l`` over its links in order.
     Link l is user ``users[l]``'s (a user's links are consecutive), p (..., L, N) holds
     the means and ``grids`` yields the grids r * q (..., N, t_max, f_max) in order,
-    summed in ``acc`` (..., t_max, f_max, N), so that a user may span several draws."""
+    summed in ``acc`` of their shape, so that a user may span several draws."""
     first = 0
     for link, (j, grid) in enumerate(zip(users, grids, strict=True)):
-        grid = grid.transpose(*range(grid.ndim - 3), -2, -1, -3)  # (..., t_max, f_max, N)
         if link > first:
             grid = np.add(acc, grid, out=acc)
         if link + 1 < len(users) and users[link + 1] == j:  # more links of user j follow
@@ -249,5 +248,6 @@ def add_links(h: np.ndarray, users, p: np.ndarray, grids, acc: np.ndarray):
                 np.copyto(acc, grid)
             continue
         mean = reduce(np.add, (p[..., i, :] for i in range(first, link + 1)))
+        grid = grid.transpose(*range(grid.ndim - 3), -2, -1, -3)  # (..., t_max, f_max, N)
         np.add(grid, mean[..., None, None, :], out=h[..., j])
         first = link + 1

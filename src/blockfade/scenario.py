@@ -337,7 +337,7 @@ class _Workspace:
         self.normals = np.empty((size, step, n, t, f), dtype=complex)
         self.spare = self.uniforms.reshape(-1).view(complex).reshape(self.normals.shape)
         self.flat = self.normals.reshape(-1).view(float)
-        self.acc = np.empty((size, t, f, n), dtype=complex)
+        self.acc = np.empty((size, n, t, f), dtype=complex)
         self.variance = links.r[:, :, None, None] ** 2
         self.means = np.empty((size, len(links.user), n), dtype=complex)
         self.h = None if keep else np.empty((size, t, f, n, config.n_users), dtype=complex)

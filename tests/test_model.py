@@ -213,28 +213,27 @@ GRID = ResourceGrid(t_max=2, f_max=3)
 
 
 def _pairs_and_grids(spreads, directions, rng, betas=None, geometry=GEO, grid=GRID):
-    """(L, N) means p, (L, N) spreads r and (L, N, t_max, f_max) grids r * q of
-    one user's clusters."""
+    """(L, N) means p and (L, N, t_max, f_max) grids r * q of one user's clusters."""
     betas = betas or [1.0] * len(spreads)
     user = UserSpec(clusters=tuple(ClusterSpec(direction=d, spread_fraction=s, mean_power=b)
                                    for s, d, b in zip(spreads, directions, betas)))
     table = link_table((user,), geometry)
     q = np.concatenate([sample_link_grids(CorrelationSpec.none(), grid, geometry.n_antennas,
                                           1, rng, variance=r ** 2) for r in table.r])
-    return link_means(table, [0.0] * len(spreads)), table.r, q
+    return link_means(table, [0.0] * len(spreads)), q
 
 
 def _assemble(p, q):
     """(t_max, f_max, N, 1) channel tensor of links that all belong to user 0."""
     h = np.empty(q.shape[2:] + (q.shape[1], 1), dtype=complex)
-    add_links(h, [0] * len(p), p, q, np.empty(h.shape[:-1], dtype=complex))
+    add_links(h, [0] * len(p), p, q, np.empty(q.shape[1:], dtype=complex))
     return h
 
 
 class TestAddLinks:
     def test_deterministic_limit_constant_over_blocks(self):
         rng = substream(1, 0)
-        p, r, q = _pairs_and_grids([0.0, 0.0], [0.3, 1.1], rng, betas=[0.6, 0.4])
+        p, q = _pairs_and_grids([0.0, 0.0], [0.3, 1.1], rng, betas=[0.6, 0.4])
         expected = p[0] + p[1]
         h = _assemble(p, q)
         for t in (1, 2):
@@ -243,13 +242,13 @@ class TestAddLinks:
 
     def test_single_unit_cluster_reduces_to_grid(self):
         rng = substream(1, 1)
-        p, r, q = _pairs_and_grids([1.0], [0.5], rng)
+        p, q = _pairs_and_grids([1.0], [0.5], rng)
         h = _assemble(p, q)[2 - 1, 3 - 1]
         assert np.array_equal(h[:, 0], q[0][:, 1, 2])
 
     def test_block_fading_varies_only_across_rb_indices(self):
         rng = substream(1, 2)
-        p, r, q = _pairs_and_grids([0.5], [0.7], rng)
+        p, q = _pairs_and_grids([0.5], [0.7], rng)
         again = _assemble(p, q)[0, 0]
         first = _assemble(p, q)[0, 0]
         other = _assemble(p, q)[0, 1]
