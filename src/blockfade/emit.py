@@ -1,10 +1,11 @@
 """CSV and SVG artifact emission with a sha256 manifest.
 
 Floats are rendered with 17 significant digits so repeated runs diff
-byte-identically.  Every writer applies one %-template to the flat list of
-its values (``%.17g`` for data, ``%.2f`` for SVG coordinates), ``FILL_ROWS``
-rows at a time.  Files stream to disk and into their sha256 in chunks;
-``raw_channel.csv`` is formatted ``RAW_CHUNK_ROWS`` rows at a time.
+byte-identically.  The small writers apply one %-template to the flat list of
+their values (``%.17g`` for data, ``%.2f`` for SVG coordinates), ``FILL_ROWS``
+rows at a time.  ``raw_channel.csv`` is formatted ``RAW_CHUNK_ROWS`` rows at a
+time in two %-passes, from each value's exact ``%.17g`` digits as integers.
+Files stream to disk and into their sha256 in chunks.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 
 from .scenario import ReportBundle, config_to_dict
 
-# Rows of raw_channel.csv formatted at a time (~4 MiB of text)
-RAW_CHUNK_ROWS = 2 ** 16
+# Rows of raw_channel.csv formatted at a time (~0.5 MiB of text, ~3 MiB peak)
+RAW_CHUNK_ROWS = 2 ** 13
 # Rows of any other CSV or SVG element list formatted at a time
 FILL_ROWS = 2 ** 10
 
@@ -67,12 +68,86 @@ def correlation_rows(matrix: np.ndarray) -> str:
     return _fill(",".join(["%.17g"] * matrix.shape[1]) + "\n", "", *matrix.T)
 
 
+# Exact %.17g digits for 1e-10 <= |v| < 1e15, where the decimal exponent X of |v|
+# lies in [-10, 14].  With 2**(e - 1) <= |v| < 2**e, X is x = floor((e - 1) *
+# log10(2)) or x + 1, so k = 16 - X stays in [2, 27], where 5**k < 2**64 (5**28 is
+# not), and with |v| = m * 2**e2, 2**52 <= m < 2**53, the shift s = -(e2 + k) stays
+# in [1, 60], inside one uint64 word.  The largest double below each power of ten
+# in the range lies 8 or more units of the 17th digit below it, so rounding never
+# carries D to 10**17.  Other values are formatted by %.17g.
+_POW5 = np.array([5 ** k for k in range(28)], dtype=np.uint64)
+_POW10 = np.array([10 ** k for k in range(17)], dtype=np.uint64)
+
+
+def _layout(x: int, neg: bool, digits: int) -> tuple:
+    """(%-template, fraction digits) of %.17g's layout of a value with decimal
+    exponent x and `digits` significant digits, split at the decimal point."""
+    sign = "-" if neg else ""
+    if x < -4:
+        frac = digits - 1
+        return f"{sign}%d{f'.%0{frac}d' if frac else ''}e-{-x:02d}", frac
+    if x < 0:
+        return f"{sign}0.{'0' * (-x - 1)}%d", 0
+    frac = digits - 1 - x
+    return (f"{sign}%d.%0{frac}d", frac) if frac > 0 else (f"{sign}%d{'0' * -frac}", 0)
+
+
+# one layout per (X in [-10, 15], sign, significant digits), the fallback last
+_LAYOUTS = [_layout(x, neg, d) for x in range(-10, 16) for neg in (0, 1)
+            for d in range(1, 18)] + [("%.17g", 0)]
+_TEMPLATES = np.array([t for t, _ in _LAYOUTS], dtype=object)
+_FRACS = np.array([f for _, f in _LAYOUTS])
+
+
+def _shifted(m: np.ndarray, e2: np.ndarray, x: np.ndarray) -> tuple:
+    """(floor(m * 5**k / 2**s), the low word of m * 5**k, s) for k = 16 - x and
+    s = -(e2 + k): the 128-bit product hi * 2**64 + lo, built from 32-bit halves."""
+    p, low32 = _POW5[16 - x], 2 ** 32 - 1
+    low, cross = (m & low32) * (p & low32), (m & low32) * (p >> 32)
+    mid = (low >> 32) + (cross & low32) + (m >> 32) * (p & low32)
+    hi = (m >> 32) * (p >> 32) + (cross >> 32) + (mid >> 32)
+    lo = (mid << 32) | (low & low32)
+    s = (x - 16 - e2).astype(np.uint64)
+    return (hi << (64 - s)) | (lo >> s), lo, s
+
+
+def _digits(a: np.ndarray) -> tuple:
+    """(D, X) of magnitudes in the exact range: 10**16 <= D < 10**17 are the 17
+    significant digits of a rounded half to even, a ~ D * 10**(X - 16)."""
+    m, e = np.frexp(a)
+    m, e2 = (m * 2.0 ** 53).astype(np.uint64), e - 53
+    x = np.floor((e - 1) * np.log10(2.0)).astype(np.int64)
+    x += _shifted(m, e2, x)[0] >= 10 ** 17
+    q, lo, s = _shifted(m, e2, x)
+    rem, half = lo & ((1 << s) - 1), 1 << (s - 1)
+    return q + ((rem > half) | ((rem == half) & (q & 1 == 1))), x
+
+
+def _render(template: str, v: np.ndarray) -> str:
+    """template, with one %s slot per value of v, filled as %.17g renders them: a
+    first %-pass puts in each value's layout, a second applies it to the flat tuple
+    of the digits split at the decimal point (the float, outside the exact range)."""
+    a = np.abs(v)
+    exact = (a >= 1e-10) & (a < 1e15)
+    d, x = _digits(np.where(exact, a, 1.0))
+    digits = np.full(len(d), 17)
+    for w in (16, 8, 4, 2, 1):  # strip the trailing zeros
+        whole, rest = np.divmod(d, _POW10[w])
+        d, digits = np.where(rest == 0, whole, d), digits - w * (rest == 0)
+    code = np.where(exact, ((x + 10) * 2 + np.signbit(v)) * 17 + digits - 1, -1)
+    # whole digits or the float, then the fraction digits where the layout has them
+    used = np.stack((np.ones_like(exact), _FRACS[code] > 0), -1).ravel()
+    args = np.stack(np.divmod(d, _POW10[_FRACS[code]]), -1).ravel()[used].astype(object)
+    args[np.cumsum(used)[::2][~exact] - 1] = v[~exact]
+    return (template % tuple(_TEMPLATES[code].tolist())) % tuple(args)
+
+
 def raw_channel_rows(kept: np.ndarray) -> Iterable[str]:
     """Rows of the (realizations, t_max, f_max, N, K) channel array in C order, in
-    chunks of at most RAW_CHUNK_ROWS rows: per RB a copy of one %-template with all
-    indices baked in, applied to the flat tuple of its (re, im) pairs."""
+    chunks of at most RAW_CHUNK_ROWS rows: per RB a copy of one row template with
+    all indices baked in, its (re, im) slots filled by _render's two %-passes."""
     n, k = kept.shape[-2:]
-    cells = [f"@{i},{j},%.17g,%.17g\n" for i in range(1, n + 1) for j in range(1, k + 1)]
+    cells = [f"@{i},{j},%s,%s\n" for i in range(1, n + 1) for j in range(1, k + 1)]
     per_rb = kept.reshape(-1, n * k)
     rbs, part = max(1, RAW_CHUNK_ROWS // (n * k)), min(n * k, RAW_CHUNK_ROWS)
     for a in range(0, len(per_rb), rbs):
@@ -81,8 +156,8 @@ def raw_channel_rows(kept: np.ndarray) -> Iterable[str]:
         for s in range(0, n * k, part):
             values = per_rb[a:a + rbs, s:s + part]
             template = "".join(cells[s:s + part])
-            yield "".join(template.replace("@", prefix) for prefix in prefixes) % tuple(
-                np.stack((values.real, values.imag), -1).ravel().tolist())
+            yield _render("".join(template.replace("@", prefix) for prefix in prefixes),
+                          np.stack((values.real, values.imag), -1).ravel())
 
 
 # ---------------------------------------------------------------------------

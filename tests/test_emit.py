@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockfade import (coefficient_histogram, empirical_cdf, expand_preset, parse_config,
                        run_scenario)
@@ -217,6 +220,67 @@ class TestRawChannelRows:
         assert data == expected.encode()
         rows = {name: (count, digest) for name, count, digest in manifest}
         assert rows["raw_channel.csv"] == (3 * 1 * 3 * 2 * 3, hashlib.sha256(data).hexdigest())
+
+
+def _as_kept(values) -> np.ndarray:
+    """An even number of floats as a (1, 1, 1, n, 1) channel array of (re, im) pairs."""
+    return np.array(values, dtype=float).view(complex).reshape(1, 1, 1, -1, 1)
+
+
+def _exact_edge_values() -> list:
+    """Values at the edges of the exact-digit range, next to powers of ten, on
+    round-half-even ties and outside the range, with both signs."""
+    nearest = [1e-10, 1e15] + [float(f"1e{k}") for k in range(-12, 17)]
+    neighbours = [float(np.nextafter(v, to)) for v in nearest for to in (0.0, np.inf)]
+    # 18-digit values ending in 5: the 17th digit stays when even, rises when odd
+    ties = [100001 * 2.0 ** -18, 100003 * 2.0 ** -18, 2.0 ** -25, 3 * 2.0 ** -24,
+            1049 * 2.0 ** -20, 1e14 + 0.125, 1e14 + 0.375]
+    others = [0.0, 5e-324, 1.7e308, 1.0, 10.0, 1e14, 1e-300, 1e300]
+    values = nearest + neighbours + ties + others
+    return values + [-v for v in values]
+
+
+class TestExactDigits:
+    """raw_channel_rows against %.17g value by value."""
+
+    def test_edge_values(self):
+        kept = _as_kept(_exact_edge_values())
+        text = "".join(raw_channel_rows(kept))
+        assert text == "".join(row + "\n" for row in _oracle_raw_rows(kept))
+        fields = set(text.replace("\n", ",").split(","))
+        assert {"0.38147354125976562", "0.38148117065429688", "100000000000000.12",
+                "100000000000000.38", "-0", "4.9406564584124654e-324"} <= fields
+
+    def test_chunks_mixing_exact_and_fallback_values(self, monkeypatch):
+        monkeypatch.setattr(emit, "RAW_CHUNK_ROWS", 12)
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal((2, 1, 2, 4, 3, 2)) * 10.0 ** rng.integers(-14, 19, (2, 1, 2, 4, 3, 2))
+        values[rng.random(values.shape) < 0.1] = 0.0
+        kept = values.view(complex)[..., 0]
+        assert "".join(raw_channel_rows(kept)) == "".join(
+            row + "\n" for row in _oracle_raw_rows(kept))
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                              st.floats(allow_nan=False, allow_infinity=False)),
+                    min_size=1, max_size=8))
+    def test_every_finite_double(self, pairs):
+        kept = _as_kept([x for pair in pairs for x in pair])
+        assert "".join(raw_channel_rows(kept)) == "".join(
+            row + "\n" for row in _oracle_raw_rows(kept))
+
+    def test_peak_memory(self):
+        rng = np.random.default_rng(3)
+        kept = rng.standard_normal((1000, 1, 1, 128, 3)) + 1j * rng.standard_normal(
+            (1000, 1, 1, 128, 3))
+        tracemalloc.start()
+        try:
+            for _ in raw_channel_rows(kept):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
 
 class TestWriteBundle:
