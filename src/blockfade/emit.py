@@ -10,6 +10,7 @@ Files stream to disk and into their sha256 in chunks.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -79,24 +80,22 @@ _POW5 = np.array([5 ** k for k in range(28)], dtype=np.uint64)
 _POW10 = np.array([10 ** k for k in range(17)], dtype=np.uint64)
 
 
-def _layout(x: int, neg: bool, digits: int) -> tuple:
-    """(%-template, fraction digits) of %.17g's layout of a value with decimal
-    exponent x and `digits` significant digits, split at the decimal point."""
-    sign = "-" if neg else ""
-    if x < -4:
-        frac = digits - 1
-        return f"{sign}%d{f'.%0{frac}d' if frac else ''}e-{-x:02d}", frac
-    if x < 0:
-        return f"{sign}0.{'0' * (-x - 1)}%d", 0
-    frac = digits - 1 - x
-    return (f"{sign}%d.%0{frac}d", frac) if frac > 0 else (f"{sign}%d{'0' * -frac}", 0)
+@functools.cache
+def _layouts() -> tuple:
+    """(%-template, fraction digits) of %.17g's layout per (X in [-10, 15], sign,
+    significant digits), the %.17g fallback last; built on first use."""
+    def layout(x: int, sign: str, digits: int) -> tuple:
+        if x < -4:
+            frac = digits - 1
+            return f"{sign}%d{f'.%0{frac}d' if frac else ''}e-{-x:02d}", frac
+        if x < 0:
+            return f"{sign}0.{'0' * (-x - 1)}%d", 0
+        frac = digits - 1 - x
+        return (f"{sign}%d.%0{frac}d", frac) if frac > 0 else (f"{sign}%d{'0' * -frac}", 0)
 
-
-# one layout per (X in [-10, 15], sign, significant digits), the fallback last
-_LAYOUTS = [_layout(x, neg, d) for x in range(-10, 16) for neg in (0, 1)
-            for d in range(1, 18)] + [("%.17g", 0)]
-_TEMPLATES = np.array([t for t, _ in _LAYOUTS], dtype=object)
-_FRACS = np.array([f for _, f in _LAYOUTS])
+    templates, fracs = zip(*[layout(x, sign, d) for x in range(-10, 16) for sign in ("", "-")
+                             for d in range(1, 18)], ("%.17g", 0))
+    return np.array(templates, dtype=object), np.array(fracs)
 
 
 def _shifted(m: np.ndarray, e2: np.ndarray, x: np.ndarray) -> tuple:
@@ -134,12 +133,13 @@ def _render(template: str, v: np.ndarray) -> str:
     for w in (16, 8, 4, 2, 1):  # strip the trailing zeros
         whole, rest = np.divmod(d, _POW10[w])
         d, digits = np.where(rest == 0, whole, d), digits - w * (rest == 0)
+    templates, fracs = _layouts()
     code = np.where(exact, ((x + 10) * 2 + np.signbit(v)) * 17 + digits - 1, -1)
     # whole digits or the float, then the fraction digits where the layout has them
-    used = np.stack((np.ones_like(exact), _FRACS[code] > 0), -1).ravel()
-    args = np.stack(np.divmod(d, _POW10[_FRACS[code]]), -1).ravel()[used].astype(object)
+    used = np.stack((np.ones_like(exact), fracs[code] > 0), -1).ravel()
+    args = np.stack(np.divmod(d, _POW10[fracs[code]]), -1).ravel()[used].astype(object)
     args[np.cumsum(used)[::2][~exact] - 1] = v[~exact]
-    return (template % tuple(_TEMPLATES[code].tolist())) % tuple(args)
+    return (template % tuple(templates[code].tolist())) % tuple(args)
 
 
 def raw_channel_rows(kept: np.ndarray) -> Iterable[str]:
