@@ -222,6 +222,10 @@ class TestRawChannelRows:
         assert rows["raw_channel.csv"] == (3 * 1 * 3 * 2 * 3, hashlib.sha256(data).hexdigest())
 
 
+def _oracle_text(kept) -> str:
+    return "".join(row + "\n" for row in _oracle_raw_rows(kept))
+
+
 def _as_kept(values) -> np.ndarray:
     """An even number of floats as a (1, 1, 1, n, 1) channel array of (re, im) pairs."""
     return np.array(values, dtype=float).view(complex).reshape(1, 1, 1, -1, 1)
@@ -246,19 +250,18 @@ class TestExactDigits:
     def test_edge_values(self):
         kept = _as_kept(_exact_edge_values())
         text = "".join(raw_channel_rows(kept))
-        assert text == "".join(row + "\n" for row in _oracle_raw_rows(kept))
+        assert text == _oracle_text(kept)
         fields = set(text.replace("\n", ",").split(","))
         assert {"0.38147354125976562", "0.38148117065429688", "100000000000000.12",
                 "100000000000000.38", "-0", "4.9406564584124654e-324"} <= fields
 
     def test_chunks_mixing_exact_and_fallback_values(self, monkeypatch):
         monkeypatch.setattr(emit, "RAW_CHUNK_ROWS", 12)
-        rng = np.random.default_rng(7)
-        values = rng.standard_normal((2, 1, 2, 4, 3, 2)) * 10.0 ** rng.integers(-14, 19, (2, 1, 2, 4, 3, 2))
-        values[rng.random(values.shape) < 0.1] = 0.0
+        rng, shape = np.random.default_rng(7), (2, 1, 2, 4, 3, 2)
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-14, 19, shape)
+        values[rng.random(shape) < 0.1] = 0.0
         kept = values.view(complex)[..., 0]
-        assert "".join(raw_channel_rows(kept)) == "".join(
-            row + "\n" for row in _oracle_raw_rows(kept))
+        assert "".join(raw_channel_rows(kept)) == _oracle_text(kept)
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
@@ -266,10 +269,10 @@ class TestExactDigits:
                     min_size=1, max_size=8))
     def test_every_finite_double(self, pairs):
         kept = _as_kept([x for pair in pairs for x in pair])
-        assert "".join(raw_channel_rows(kept)) == "".join(
-            row + "\n" for row in _oracle_raw_rows(kept))
+        assert "".join(raw_channel_rows(kept)) == _oracle_text(kept)
 
     def test_peak_memory(self):
+        """The writer's transient memory is bounded by its chunk, not by the array."""
         rng = np.random.default_rng(3)
         kept = rng.standard_normal((1000, 1, 1, 128, 3)) + 1j * rng.standard_normal(
             (1000, 1, 1, 128, 3))
