@@ -18,6 +18,8 @@ import numpy as np
 from .errors import NumericalError
 
 HERMITIAN_INPUT_TOLERANCE = 1e-10
+# Samples coefficient_histogram bins at a time: its transients stay O(block)
+HISTOGRAM_BLOCK = 2 ** 14
 
 
 def gram(h) -> np.ndarray:
@@ -106,12 +108,18 @@ def coefficient_histogram(values, bins_per_axis: int = 64) -> dict:
         raise ValueError("coefficient_histogram needs at least one sample")
     if bins_per_axis < 1:
         raise ValueError("bins_per_axis must be >= 1")
-    half = max(np.abs(v.real).max(), np.abs(v.imag).max())
-    if half == 0.0:
-        half = 1.0
+    half = np.max([v.real.max(), -v.real.min(), v.imag.max(), -v.imag.min()])
+    finite = np.isfinite(half)  # a NaN or infinite sample: NaN edges, nothing counted
+    half = (half or 1.0) if finite else np.nan
     edges = np.linspace(-half, half, bins_per_axis + 1)
-    counts, _, _ = np.histogram2d(v.real, v.imag, bins=[edges, edges])
-    return {"edges": edges, "counts": counts.astype(np.int64)}
+    counts = np.zeros(bins_per_axis ** 2, dtype=np.int64)
+    step = max(HISTOGRAM_BLOCK, counts.size)  # a block's bincount spans every bin
+    for a in range(0, v.size if finite else 0, step):
+        # np.histogram2d's bins: side="right", samples on the last edge in the last bin
+        i, j = (np.minimum(np.searchsorted(edges, x, side="right") - 1, bins_per_axis - 1)
+                for x in (v.real[a:a + step], v.imag[a:a + step]))
+        counts += np.bincount(i * bins_per_axis + j, minlength=counts.size)
+    return {"edges": edges, "counts": counts.reshape(bins_per_axis, bins_per_axis)}
 
 
 def power_profile(realizations) -> np.ndarray:

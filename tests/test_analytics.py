@@ -1,12 +1,15 @@
 """Tests for Gram statistics, eigenvalues, CDFs, histograms, and profiles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from blockfade import (ArrayGeometry, ClusterSpec, NumericalError, UserSpec,
                        coefficient_histogram, eigenvalues_hermitian, empirical_cdf, gram,
                        power_profile, substream)
-from blockfade.analytics import average_correlation, ordered_mean, pairwise_correlation
+from blockfade.analytics import (HISTOGRAM_BLOCK, average_correlation, ordered_mean,
+                                 pairwise_correlation)
 from blockfade.emit import ecdf_rows
 from blockfade.model import link_means, link_table
 from blockfade.stochastic import complex_normals
@@ -199,6 +202,61 @@ class TestCoefficientHistogram:
         hist = coefficient_histogram(q, bins_per_axis=16)
         assert hist["counts"].sum() == 5000
         assert hist["edges"][0] == -hist["edges"][-1]
+
+    @staticmethod
+    def _histogram2d(v, bins):
+        """The reference: np.histogram2d on the samples' bounding square."""
+        half = max(np.abs(v.real).max(), np.abs(v.imag).max()) or 1.0
+        edges = np.linspace(-half, half, bins + 1)
+        return edges, np.histogram2d(v.real, v.imag, bins=[edges, edges])[0].astype(np.int64)
+
+    @staticmethod
+    def _on_every_edge(n, bins, seed):
+        """n Gaussians, then every edge of their square (+-half among them) as real and
+        as imaginary parts, each paired with a random sample's other part."""
+        rng = substream(seed, 0)
+        v = complex_normals(*rng.random((2, n)))
+        half = max(np.abs(v.real).max(), np.abs(v.imag).max())
+        edges = np.linspace(-half, half, bins + 1)
+        partner = v[rng.integers(0, n, bins + 1)]
+        return np.concatenate([v, edges + 1j * partner.imag, partner.real + 1j * edges])
+
+    @pytest.mark.parametrize("v, bins", [
+        (None, 7),  # several blocks and a partial one, samples on every edge
+        (None, 160),  # bins**2 above a block: a block spans every bin
+        (np.zeros(5, complex), 4),
+        (np.array([0.3 - 2j]), 3),
+        (np.array([-0.0 - 0.0j, 0.0 - 0.0j, complex(-0.0, 0.0)]), 2),
+    ], ids=["edges-and-blocks", "wide-bins", "all-zero", "one-sample", "signed-zeros"])
+    def test_matches_histogram2d(self, v, bins):
+        if v is None:
+            v = self._on_every_edge(3 * max(HISTOGRAM_BLOCK, bins ** 2) + 123, bins, 23)
+        hist = coefficient_histogram(v, bins_per_axis=bins)
+        edges, counts = self._histogram2d(v, bins)
+        assert np.array_equal(hist["edges"], edges)
+        assert hist["counts"].dtype == np.int64
+        assert np.array_equal(hist["counts"], counts)
+        assert hist["counts"].sum() == v.size
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan),
+                                     complex(0, np.inf), complex(0, -np.inf)])
+    def test_non_finite_sample_gives_nan_edges(self, bad):
+        # the run's finiteness check then exits 3
+        hist = coefficient_histogram(np.array([0.5 + 1j, bad, -2j]), bins_per_axis=4)
+        assert np.isnan(hist["edges"]).all() and hist["edges"].shape == (5,)
+        assert hist["counts"].shape == (4, 4) and not hist["counts"].any()
+
+    def test_transients_stay_below_a_mebibyte(self):
+        # 2**20 samples are 16 MiB; the histogram bins them block by block
+        v = complex_normals(*substream(24, 0).random((2, 2 ** 20)))
+        tracemalloc.start()
+        try:
+            hist = coefficient_histogram(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hist["counts"].sum() == v.size
+        assert peak < 2 ** 20
 
     def test_validation(self):
         with pytest.raises(ValueError):
