@@ -356,8 +356,9 @@ def _realize_chunk(config: ScenarioConfig, links: LinkTable, pool: np.ndarray, w
     The generator is re-keyed to m's stream; at C > 1 all links are one block, drawn
     into m's row after its spatial block, at C = 1 consecutive links are drawn block
     by block as ``add_links`` takes their grids.  The statistics are taken over the
-    (C, t_max, f_max, N, K) channel tensor, RBs t-major, the Gram and correlation
-    matrices one time row at a time; with ``kept`` set the tensor is ``kept[indices]``.
+    (C, t_max, f_max, N, K) channel tensor, RBs t-major, one time row at a time, a row
+    split along f where it holds more than DRAW_BLOCK_UNIFORMS entries; with ``kept``
+    set the tensor is ``kept[indices]``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         c, step, k, n_links = len(indices), ws.normals.shape[1], config.n_users, len(links.user)
@@ -384,23 +385,29 @@ def _realize_chunk(config: ScenarioConfig, links: LinkTable, pool: np.ndarray, w
                 yield from correlate(config.correlation, z, ws.normals[:c, :width]).swapaxes(0, 1)
         add_links(h, links.user, p, grids(), ws.acc[:c])
 
-        def rb_mean(x):  # each realization's mean over its RBs, in t-major order
-            return analytics.ordered_mean(x.reshape((c, -1) + x.shape[-2:]).swapaxes(0, 1))
+        # the (C, RBs, N, K) tensor t-major in blocks of at most DRAW_BLOCK_UNIFORMS entries,
+        # one time row or part of one each: the statistics' copies of h stay small
+        rbs, f_max = h.reshape((c, -1) + h.shape[-2:]), h.shape[2]
+        width = max(1, DRAW_BLOCK_UNIFORMS // (c * rbs[0, 0].size))
+        blocks = [rbs[:, t + a:t + min(a + width, f_max)]
+                  for t in range(0, rbs.shape[1], f_max) for a in range(0, f_max, width)]
 
-        def per_time(stat):  # one time row of RBs at a time: stat's copies of h stay small
-            return np.concatenate([stat(h[:, t:t + 1]) for t in range(h.shape[1])], axis=1)
+        def per_block(stat):  # stat's (C, RBs, K, K) matrices
+            return np.concatenate([stat(block) for block in blocks], axis=1)
         out = {}
         if needs & {"cross-correlation", "eigencdf"}:
-            g = per_time(analytics.gram)
+            g = per_block(analytics.gram)
             if "cross-correlation" in needs:
                 iu = np.triu_indices(k, 1)
                 out["offdiag"] = np.abs(g[..., iu[0], iu[1]]).ravel()
             if "eigencdf" in needs:
                 out["eigen"] = analytics.eigenvalues_hermitian(g).ravel()
-        if "power-profile" in needs:
-            out["power"] = rb_mean(np.abs(h) ** 2)
+        if "power-profile" in needs:  # each realization's mean over its RBs, as ordered_mean
+            out["power"] = sum(row for block in blocks
+                               for row in (np.abs(block) ** 2).swapaxes(0, 1)) / rbs.shape[1]
         if "correlation-matrix" in needs:
-            out["xcorr"] = rb_mean(per_time(analytics.pairwise_correlation))
+            out["xcorr"] = analytics.ordered_mean(
+                per_block(analytics.pairwise_correlation).swapaxes(0, 1))
     return out
 
 

@@ -615,6 +615,57 @@ class TestRealizationKernel:
         assert manifests[0] == manifests[1] == manifests[2]
 
 
+    def test_split_time_rows_give_whole_stack_statistics(self, counting):
+        # N=2048, K=2, f_max=40: a time row holds 163840 entries, so the statistics take
+        # it in RB blocks of 16, 16 and 8; each equals its whole-stack value bit for bit
+        from blockfade import analytics
+        users = [{"clusters": [{"direction": 0.4 + j, "spread_fraction": 0.5}]}
+                 for j in range(2)]
+        config = parse_config(json.dumps(_doc(
+            geometry={"n_antennas": 2048}, users=users, realizations=2, seed=9,
+            grid={"t_max": 2, "f_max": 40}, outputs=list(ARTIFACT_NAMES))))
+        counting(analytics, "gram")
+        artifacts = run_scenario(config).artifacts
+        assert counting.calls["gram"] == 2 * 2 * 3
+        kept = artifacts["raw-channel"]
+        eigen = analytics.eigenvalues_hermitian(analytics.gram(kept)).ravel()
+        assert np.array_equal(artifacts["eigencdf"],
+                              np.sort(eigen / config.mean_link_power()))
+        power = sum(analytics.ordered_mean((np.abs(h) ** 2).reshape(-1, 2048, 2))
+                    for h in kept) / 2
+        assert np.array_equal(artifacts["power-profile"], power)
+        xcorr = [analytics.ordered_mean(analytics.pairwise_correlation(h).reshape(-1, 2, 2))
+                 for h in kept]
+        assert np.array_equal(artifacts["correlation-matrix"],
+                              analytics.average_correlation(xcorr))
+
+    def test_statistics_copy_at_most_a_draw_block(self, monkeypatch):
+        # one 1024-RB time row of N=1024 and 2 users is 32 MiB; each Gram and
+        # correlation call sees at most DRAW_BLOCK_UNIFORMS entries of it (1 MiB)
+        from blockfade import analytics
+        users = [{"clusters": [{"direction": 0.3 + 1.6 * j, "spread_fraction": 0.5}]}
+                 for j in range(2)]
+        config = parse_config(json.dumps(_doc(
+            geometry={"n_antennas": 1024}, users=users, grid={"t_max": 1, "f_max": 1024},
+            outputs=["eigencdf", "correlation-matrix"])))
+        peaks = []
+        for name in ("gram", "pairwise_correlation"):
+            def traced(h, real=getattr(analytics, name)):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                result = real(h)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+                return result
+            monkeypatch.setattr(analytics, name, traced)
+        tracemalloc.start()
+        try:
+            run_scenario(config)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 2 * 32
+        assert max(peaks) < 2 * 2 ** 20
+
+
 def _workspace_configs() -> dict:
     """Three shapes of chunk: single-RB chunks of 12 realizations ending in a
     partial chunk, and one-realization chunks of 6 links in blocks of 4 and 2
