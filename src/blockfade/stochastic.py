@@ -202,7 +202,10 @@ def complex_normals(u1: np.ndarray, u2: np.ndarray, variance=1.0, out=None) -> n
     out = np.empty(u1.shape, dtype=complex) if out is None else out
     k, t = out.reshape(-1).view(np.uint64).reshape((2,) + u1.shape)
     turns = np.multiply(4.0, u2, out=u2)
-    psi = np.subtract(turns, np.rint(turns, out=k, casting="unsafe"), out=turns)
+    # turns + 1.5 * 2**52 rounds half to even, as rint does, to a double whose low bits are
+    # rint(turns); k's bytes hold it, and psi is taken from it without a cast
+    big = np.add(turns, 1.5 * 2 ** 52, out=k.view(float))
+    psi = np.subtract(turns, np.subtract(big, 1.5 * 2 ** 52, out=t.view(float)), out=turns)
     psi *= np.pi / 2
     # x + 1j*y on the bits: a half turn (k = 2, 3) flips the radius, an odd turn flips y
     # and swaps x and y

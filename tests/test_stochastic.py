@@ -129,6 +129,24 @@ class TestComplexNormal:
         assert (np.abs(q.real - exact.real) <= 2 * ulp).all()
         assert (np.abs(q.imag - exact.imag) <= 2 * ulp).all()
 
+    def test_turns_and_psi_match_rint(self):
+        # k mod 4 and psi as np.rint(4*u2) gives them, bit for bit: random draws, the
+        # ties 1/8 + k/4 (half to even), the quarters' neighbours 1 ulp away and the
+        # largest uniform below 1
+        quarters = np.arange(4) / 4
+        u2 = np.concatenate([substream(17, 5).random(10 ** 5), quarters + 1 / 8,
+                             np.nextafter(quarters, 1.0), np.nextafter(quarters[1:], 0.0),
+                             [1.0 - 2.0 ** -53]])
+        u1 = substream(17, 6).random(u2.size)
+        q = complex_normals(u1.copy(), u2.copy())
+        k = np.rint(4.0 * u2)
+        psi = (4.0 * u2 - k) * (np.pi / 2)
+        rc, rs = (np.sqrt(-np.log(1.0 - u1)) * f(psi) for f in (np.cos, np.sin))
+        turn = k.astype(int) % 4
+        for got, want in ((q.real, np.choose(turn, [rc, -rs, -rc, rs])),
+                          (q.imag, np.choose(turn, [rs, rc, -rs, -rc]))):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_variance_folds_into_the_radius(self):
         # per-antenna r, the first 0: a spread-0 link's grid is exactly zero
         u = substream(17, 4).random((2, 32, 3, 5))
