@@ -21,8 +21,8 @@ import numpy as np
 
 from .scenario import ReportBundle, config_to_dict
 
-# Rows of raw_channel.csv formatted at a time (~0.5 MiB of text, ~3 MiB peak)
-RAW_CHUNK_ROWS = 2 ** 13
+# Rows of raw_channel.csv formatted at a time (~0.1 MiB of text; larger chunks fault more)
+RAW_CHUNK_ROWS = 2 ** 11
 # Rows of any other CSV or SVG element list formatted at a time
 FILL_ROWS = 2 ** 10
 
@@ -263,10 +263,10 @@ def _write(path: str, chunks: Iterable[str], artifact: str) -> str:
     digest = hashlib.sha256()
     try:
         with open(path, "wb") as fh:
-            for chunk in chunks:
-                data = chunk.encode()
+            for data in map(str.encode, chunks):
                 fh.write(data)
                 digest.update(data)
+                del data  # freed before the next chunk is formatted
     except OSError as exc:
         raise OSError(f"failed writing artifact {artifact!r} to {path}: {exc}") from exc
     return digest.hexdigest()

@@ -285,6 +285,25 @@ class TestExactDigits:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
 
+    def test_writer_holds_no_chunk_while_formatting(self, tmp_path):
+        # _write releases a chunk's text and bytes before the next chunk is formatted, so
+        # it peaks less than one chunk's length above consuming the rows
+        rng = np.random.default_rng(3)
+        kept = rng.standard_normal((100, 1, 1, 128, 3)) + 1j * rng.standard_normal(
+            (100, 1, 1, 128, 3))
+        chunk = max(map(len, raw_channel_rows(kept)))
+        tracemalloc.start()
+        try:
+            for _ in raw_channel_rows(kept):
+                pass
+            rows = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            emit._write(str(tmp_path / "raw.csv"), raw_channel_rows(kept), "raw-channel")
+            written = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert written - rows < chunk
+
 
 class TestWriteBundle:
     @pytest.fixture()
