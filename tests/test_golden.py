@@ -11,8 +11,9 @@ differently, so the CSV artifacts are compared by value at rtol 1e-12
 against the stored copies and ``config.json`` by bytes; SVGs are skipped.
 
 After an intended change of the outputs, list what moved with
-``PYTHONPATH=src python tests/test_golden.py --diff`` (it writes nothing),
-then re-record with ``PYTHONPATH=src python tests/test_golden.py`` and give
+``PYTHONPATH=src python tests/test_golden.py --diff`` (it writes nothing and
+exits 1 when any case moved, 0 when none did, so a check that nothing moved
+can be scripted), then re-record with ``PYTHONPATH=src python tests/test_golden.py`` and give
 the reason and the listing in CHANGES.md.
 """
 
@@ -98,13 +99,15 @@ def record(path: str = GOLDEN_PATH) -> None:
         fh.write("\n")
 
 
-def diff(path: str = GOLDEN_PATH) -> None:
+def diff(path: str = GOLDEN_PATH) -> bool:
     """Print, per case, the artifacts whose digest differs from the stored one and,
     for a CSV, its largest value difference |got - want| / (|want| + scale), scale
-    the largest |want|: the off-platform comparison bounds it by 1e-12."""
+    the largest |want|: the off-platform comparison bounds it by 1e-12.  Return
+    whether any case moved."""
     import tempfile
     with open(path, encoding="utf-8") as fh:
         cases = json.load(fh)["cases"]
+    moved = False
     with tempfile.TemporaryDirectory() as tmp:
         for name, config in sorted(_cases().items()):
             want = cases[name]
@@ -123,6 +126,8 @@ def diff(path: str = GOLDEN_PATH) -> None:
                         artifact += f" {rel.max(initial=0.0):.2g}"
                 changed.append(artifact)
             print(f"{name}: {', '.join(changed) or 'unchanged'}")
+            moved = moved or bool(changed)
+    return moved
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +156,7 @@ def test_artifacts_match_golden(case, golden, tmp_path):
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--diff"]:
-        diff()
+        sys.exit(1 if diff() else 0)
     else:
         record(sys.argv[1] if len(sys.argv) > 1 else GOLDEN_PATH)
         print(f"recorded {sys.argv[1] if len(sys.argv) > 1 else GOLDEN_PATH}")
