@@ -11,10 +11,11 @@ differently, so the CSV artifacts are compared by value at rtol 1e-12
 against the stored copies and ``config.json`` by bytes; SVGs are skipped.
 
 After an intended change of the outputs, list what moved with
-``PYTHONPATH=src python tests/test_golden.py --diff`` (it writes nothing and
-exits 1 when any case moved, 0 when none did, so a check that nothing moved
-can be scripted), then re-record with ``PYTHONPATH=src python tests/test_golden.py`` and give
-the reason and the listing in CHANGES.md.
+``PYTHONPATH=src python tests/test_golden.py --diff``.  It writes nothing
+and exits 1 when any case moved, 0 when none did, so a check that nothing
+moved can be scripted.  Then re-record with
+``PYTHONPATH=src python tests/test_golden.py`` and give the reason and the
+listing in CHANGES.md.
 """
 
 import json
