@@ -66,19 +66,16 @@ def empirical_cdf(samples) -> np.ndarray:
     return values
 
 
-def pairwise_correlation(h) -> np.ndarray:
-    """Normalized inner-product magnitudes |h_i^H h_j| / (|h_i| |h_j|) of a
-    channel matrix or stack, shape (..., K, K); raises on a zero-norm
-    (degenerate) user column."""
-    h = np.asarray(h, dtype=complex)
-    conj = np.conj(h)
-    g = np.abs(conj.swapaxes(-1, -2) @ h)
-    # np.linalg.norm(h, axis=-2) step by step, |h|^2 formed in the conjugate's bytes
-    norms = np.sqrt(np.add.reduce(np.multiply(conj, h, out=conj).real, axis=-2))
-    if (norms == 0).any():
-        bad = int(np.argwhere(norms == 0)[0, -1])
+def gram_correlation(g) -> np.ndarray:
+    """Normalized user correlation |G_ij| / sqrt(G_ii G_jj) of a Gram matrix
+    or stack (..., K, K) from :func:`gram`, which is |h_i^H h_j| / (|h_i| |h_j|);
+    raises on a zero-norm (degenerate) user column."""
+    g = np.asarray(g)
+    d = np.sqrt(g.diagonal(axis1=-2, axis2=-1).real)
+    if (d == 0).any():
+        bad = int(np.argwhere(d == 0)[0, -1])
         raise NumericalError(f"user {bad} has a zero-norm channel column")
-    return g / (norms[..., :, None] * norms[..., None, :])
+    return np.abs(g) / (d[..., :, None] * d[..., None, :])
 
 
 def ordered_mean(arrays) -> np.ndarray:

@@ -45,7 +45,8 @@ MAX_ARRAY_ENTRIES = 2 ** 24
 # Uniforms per link-grid draw (512 KiB), bounding the working set: a kernel pass takes C =
 # max(1, DRAW_BLOCK_UNIFORMS // (t_max*f_max*max(2*links*N, users**2))) realizations, whose
 # uniforms and per-RB Gram matrices fit; at C = 1 it draws max(1, DRAW_BLOCK_UNIFORMS //
-# (2*N*t_max*f_max)) links at a time.  Only the config sets them, not the thread count.
+# (2*N*t_max*f_max)) links at a time, and the statistics take max(1, DRAW_BLOCK_UNIFORMS //
+# (C*max(N, users)*users)) RBs of a time row at a time.  Only the config sets them.
 DRAW_BLOCK_UNIFORMS = 2 ** 16
 
 # Frozen validation geometry, a (principals, offsets) pair: stratified
@@ -144,7 +145,7 @@ class ScenarioConfig:
                  {"eigencdf"}),
                 ("cross-correlation magnitudes realizations*t_max*f_max*users*(users-1)/2",
                  self.realizations * rbs * k * (k - 1) // 2, {"cross-correlation"}),
-                ("per-RB Gram stack t_max*f_max*users**2", rbs * k * k,
+                ("Gram matrix users**2", k * k,
                  {"eigencdf", "cross-correlation", "correlation-matrix"}),
                 ("power profiles realizations*n_antennas*users", self.realizations * n * k,
                  {"power-profile"}),
@@ -301,7 +302,7 @@ def expand_preset(name: str, seed: int = DEFAULT_PRESET_SEED) -> ScenarioConfig:
     users with fresh random directions per realization, fig5 emits the
     eigenvalue CDF and fig6 a power profile with a per-antenna power ramp.
     """
-    if name not in _PRESETS:
+    if not isinstance(name, str) or name not in _PRESETS:  # a non-string name is unknown too
         raise ConfigError(f"unknown preset {name!r}; valid presets: {PRESET_NAMES}")
     directions, spreads, powers, n, realizations, outputs, ramp = _PRESETS[name]
     if isinstance(directions[0], tuple):  # the frozen (principals, offsets) geometry
@@ -355,10 +356,10 @@ def _realize_chunk(config: ScenarioConfig, links: LinkTable, pool: np.ndarray, w
     afterwards per (user, cluster) the link grid, a u1 block followed by a u2 block.
     The generator is re-keyed to m's stream; at C > 1 all links are one block, drawn
     into m's row after its spatial block, at C = 1 consecutive links are drawn block
-    by block as ``add_links`` takes their grids.  The statistics are taken over the
-    (C, t_max, f_max, N, K) channel tensor, RBs t-major, one time row at a time, a row
-    split along f where it holds more than DRAW_BLOCK_UNIFORMS entries; with ``kept``
-    set the tensor is ``kept[indices]``.
+    by block as ``add_links`` takes their grids.  The statistics take the (C, t_max,
+    f_max, N, K) channel tensor, ``kept[indices]`` with ``kept`` set, in RB blocks (see
+    DRAW_BLOCK_UNIFORMS) t-major; one ``gram`` per block feeds every user statistic, and
+    the power and correlation rows are summed RB by RB into each realization's mean.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         c, step, k, n_links = len(indices), ws.normals.shape[1], config.n_users, len(links.user)
@@ -385,29 +386,30 @@ def _realize_chunk(config: ScenarioConfig, links: LinkTable, pool: np.ndarray, w
                 yield from correlate(config.correlation, z, ws.normals[:c, :width]).swapaxes(0, 1)
         add_links(h, links.user, p, grids(), ws.acc[:c])
 
-        # the (C, RBs, N, K) tensor t-major in blocks of at most DRAW_BLOCK_UNIFORMS entries,
-        # one time row or part of one each: the statistics' copies of h stay small
+        # the (C, RBs, N, K) tensor t-major in blocks of one time row or part of one, whose
+        # entries and Gram matrices each fit DRAW_BLOCK_UNIFORMS: the statistics stay O(block)
         rbs, f_max = h.reshape((c, -1) + h.shape[-2:]), h.shape[2]
-        width = max(1, DRAW_BLOCK_UNIFORMS // (c * rbs[0, 0].size))
-        blocks = [rbs[:, t + a:t + min(a + width, f_max)]
-                  for t in range(0, rbs.shape[1], f_max) for a in range(0, f_max, width)]
-
-        def per_block(stat):  # stat's (C, RBs, K, K) matrices
-            return np.concatenate([stat(block) for block in blocks], axis=1)
-        out = {}
-        if needs & {"cross-correlation", "eigencdf"}:
-            g = per_block(analytics.gram)
-            if "cross-correlation" in needs:
-                iu = np.triu_indices(k, 1)
-                out["offdiag"] = np.abs(g[..., iu[0], iu[1]]).ravel()
-            if "eigencdf" in needs:
-                out["eigen"] = analytics.eigenvalues_hermitian(g).ravel()
-        if "power-profile" in needs:  # each realization's mean over its RBs, as ordered_mean
-            out["power"] = sum(row for block in blocks
-                               for row in (np.abs(block) ** 2).swapaxes(0, 1)) / rbs.shape[1]
-        if "correlation-matrix" in needs:
-            out["xcorr"] = analytics.ordered_mean(
-                per_block(analytics.pairwise_correlation).swapaxes(0, 1))
+        width = max(1, DRAW_BLOCK_UNIFORMS // (c * max(h.shape[-2], k) * k))
+        iu = np.triu_indices(k, 1)
+        out = {name: np.empty((c, rbs.shape[1], size)) for name, size in
+               (("cross-correlation", len(iu[0])), ("eigencdf", k)) if name in needs}
+        power = xcorr = 0  # each realization's sums over its RBs, RB by RB as ordered_mean
+        for rows in (slice(a, min(a + width, t + f_max)) for t in range(0, rbs.shape[1], f_max)
+                     for a in range(t, t + f_max, width)):
+            if "power-profile" in needs:
+                for row in (np.abs(rbs[:, rows]) ** 2).swapaxes(0, 1):
+                    power += row
+            if needs & {"cross-correlation", "eigencdf", "correlation-matrix"}:
+                g = analytics.gram(rbs[:, rows])
+                if "cross-correlation" in needs:
+                    out["cross-correlation"][:, rows] = np.abs(g[..., iu[0], iu[1]])
+                if "eigencdf" in needs:
+                    out["eigencdf"][:, rows] = analytics.eigenvalues_hermitian(g)
+                if "correlation-matrix" in needs:
+                    for row in analytics.gram_correlation(g).swapaxes(0, 1):
+                        xcorr += row
+        out.update((name, total / rbs.shape[1]) for name, total in (
+            ("power-profile", power), ("correlation-matrix", xcorr)) if name in needs)
     return out
 
 
@@ -454,27 +456,27 @@ def run_scenario(config: ScenarioConfig, out_dir=None, threads: int = 1) -> Repo
     with np.errstate(over="ignore", invalid="ignore"), \
             ThreadPoolExecutor(max_workers=workers) as executor:  # one worker: no thread
         for result in map(realize, chunks) if workers == 1 else executor.map(realize, chunks):
-            for row in result.pop("power", ()):
+            for row in result.pop("power-profile", ()):
                 power += row
             results.append(result)
         artifacts = {}
         if "histogram" in needs:
             artifacts["histogram"] = analytics.coefficient_histogram(kept.ravel(), config.bins)
         if "cross-correlation" in needs:
-            mags = np.concatenate([r["offdiag"] for r in results])
+            mags = np.concatenate([r["cross-correlation"] for r in results]).ravel()
             top = max(1.0, float(mags.max()))
             edges = np.linspace(0.0, top, config.bins + 1)
             counts, _ = np.histogram(mags, bins=edges)
             artifacts["cross-correlation"] = {"edges": edges, "counts": counts.astype(np.int64),
                                               "magnitudes": mags}
         if "eigencdf" in needs:
-            eigen = np.concatenate([r["eigen"] for r in results])
+            eigen = np.concatenate([r["eigencdf"] for r in results]).ravel()
             artifacts["eigencdf"] = analytics.empirical_cdf(eigen / config.mean_link_power())
         if "power-profile" in needs:
             artifacts["power-profile"] = power / config.realizations  # as ordered_mean
         if "correlation-matrix" in needs:
             artifacts["correlation-matrix"] = analytics.average_correlation(
-                [row for r in results for row in r["xcorr"]])
+                [row for r in results for row in r["correlation-matrix"]])
         if "raw-channel" in needs:
             artifacts["raw-channel"] = kept
     _require_finite(artifacts)

@@ -8,8 +8,8 @@ import pytest
 from blockfade import (ArrayGeometry, ClusterSpec, NumericalError, UserSpec,
                        coefficient_histogram, eigenvalues_hermitian, empirical_cdf, gram,
                        power_profile, substream)
-from blockfade.analytics import (HISTOGRAM_BLOCK, average_correlation, ordered_mean,
-                                 pairwise_correlation)
+from blockfade.analytics import (HISTOGRAM_BLOCK, average_correlation, gram_correlation,
+                                 ordered_mean)
 from blockfade.emit import ecdf_rows
 from blockfade.model import link_means, link_table
 from blockfade.stochastic import complex_normals
@@ -134,10 +134,48 @@ class TestEmpiricalCDF:
             empirical_cdf([])
 
 
+def _two_products(h) -> np.ndarray:
+    """The oracle: |h_i^H h_j| / (|h_i| |h_j|) from the inner products and the
+    column norms, with no Gram matrix."""
+    inner = np.abs(np.conj(h).swapaxes(-1, -2) @ h)
+    norms = np.linalg.norm(h, axis=-2)
+    return inner / (norms[..., :, None] * norms[..., None, :])
+
+
+class TestGramCorrelation:
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("shape", [(3, 20, 4), (2, 5, 128, 6), (64, 8, 3), (7, 1, 5)],
+                             ids=["stack", "multi-rb", "small-n", "k-above-n"])
+    def test_matches_two_products(self, shape):
+        # users' powers 1e-3..1e3 apart; at N = 1 every pair correlates fully
+        rng = substream(25, len(shape))
+        h = complex_normals(*rng.random((2,) + shape)) * 10.0 ** rng.integers(-3, 4, shape[-1])
+        got, want = gram_correlation(gram(h)), _two_products(h)
+        off = ~np.eye(shape[-1], dtype=bool)
+        # a few ulp of 1, the scale of a correlation
+        assert np.abs(got - want)[..., off].max() <= 4 * self.EPS
+        assert got[..., off].max() <= 1 + 4 * self.EPS
+        assert np.abs(got[..., ~off] - 1).max() <= 2 * self.EPS
+
+    def test_parallel_users_stay_at_one(self):
+        # exact copies, scaled by powers of two and by 1j: Cauchy-Schwarz holds to 4 ulp
+        h = complex_normals(*substream(26, 0).random((2, 50, 64, 1)))
+        h = np.concatenate([h, 2.0 ** -20 * h, 2.0 ** 30j * h, -1j * h], axis=-1)
+        got = gram_correlation(gram(h))
+        assert np.abs(got - 1).max() <= 4 * self.EPS
+
+    def test_zero_norm_user_rejected(self):
+        h = complex_normals(*substream(27, 0).random((2, 4, 16, 3)))
+        h[2, :, 1] = 0.0
+        with pytest.raises(NumericalError, match="user 1 has a zero-norm"):
+            gram_correlation(gram(h))
+
+
 class TestUserCorrelation:
     @staticmethod
     def user_correlation(h):
-        return average_correlation(pairwise_correlation(h))
+        return average_correlation(gram_correlation(gram(h)))
 
     def test_identical_users(self):
         h = complex_normals(*substream(17, 0).random((2, 8, 1)))

@@ -495,19 +495,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("config error") == 2 and err.count(message) == 2
 
-    def test_overflowing_power_exits_3(self, tmp_path, capsys):
+    @staticmethod
+    def _overflowing(outputs) -> dict:
         # every cluster power is finite, but |h|**2 overflows in the reductions
         huge = 1.7e308
-        doc = {"seed": 5, "geometry": {"n_antennas": 4},
-               "users": [{"clusters": [{"direction": 0.3, "spread_fraction": 0.5,
-                                        "mean_power": huge},
-                                       {"direction": 1.3, "spread_fraction": 0.5,
-                                        "mean_power": huge}]},
-                         {"clusters": [{"direction": 2.0, "spread_fraction": 0.5,
-                                        "mean_power": huge}]}],
-               "realizations": 3,
-               "outputs": ["correlation-matrix", "power-profile", "cross-correlation",
-                           "histogram"]}
+        return {"seed": 5, "geometry": {"n_antennas": 4},
+                "users": [{"clusters": [{"direction": 0.3, "spread_fraction": 0.5,
+                                         "mean_power": huge},
+                                        {"direction": 1.3, "spread_fraction": 0.5,
+                                         "mean_power": huge}]},
+                          {"clusters": [{"direction": 2.0, "spread_fraction": 0.5,
+                                         "mean_power": huge}]}],
+                "realizations": 3, "outputs": outputs}
+
+    @pytest.mark.parametrize("output", ["correlation-matrix", "eigencdf", "cross-correlation"])
+    def test_overflowing_gram_exits_3(self, output, tmp_path, capsys):
+        # an overflowed Gram matrix: inf / inf correlations, a non-finite eigen solve
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(self._overflowing([output])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", str(path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure:")
+
+    def test_overflowing_power_exits_3(self, tmp_path, capsys):
+        doc = self._overflowing(["correlation-matrix", "power-profile", "cross-correlation",
+                                 "histogram"])
         path = tmp_path / "c.json"
         path.write_text(json.dumps(doc))
         assert main(["validate", str(path)]) == 0

@@ -1,8 +1,9 @@
-"""Property test: a document that validates also simulates and round-trips.
+"""Property tests: a document that validates also simulates and round-trips,
+and its artifacts do not depend on how the run splits its work.
 
 Hypothesis generates small scenario documents (N <= 8, 1-3 users, 1-2
 clusters, a grid of at most 3x3 RBs, at most 3 realizations), some with one
-field replaced by a bad value.  The run is derandomized and keeps no example
+field replaced by a bad value.  The runs are derandomized and keep no example
 database, so the suite draws the same examples every time and writes no
 files.  ``simulate --out`` runs with warnings as errors and must leave
 stderr empty on success, or write exactly one error line.
@@ -17,10 +18,11 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from blockfade import ConfigError, parse_config
+from blockfade import ConfigError, NumericalError, parse_config, run_scenario, scenario
 from blockfade.cli import main
 from blockfade.scenario import ARTIFACT_NAMES, config_from_dict, config_to_dict
 
@@ -110,3 +112,43 @@ def test_document_that_validates_simulates_and_round_trips(doc):
             assert len(lines) == 1
             assert lines[0].startswith(("config error:", "numerical failure:",
                                         "i/o failure:"))
+
+
+@pytest.mark.parametrize("name", BAD_VALUES, ids=repr)
+def test_bad_preset_name_exits_2(name, tmp_path, capsys):
+    # a list or a dict cannot name a preset; it must not escape as a TypeError
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"preset": name}))
+    assert main(["validate", str(path)]) == 2
+    assert main(["simulate", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("config error: unknown preset")
+                                 for line in err)
+
+
+def _artifact_bytes(config, threads):
+    """Every artifact's bytes, or the numerical failure, of one run."""
+    try:
+        artifacts = run_scenario(config, threads=threads).artifacts
+    except NumericalError as exc:
+        return f"numerical failure: {exc}"
+    return {(name, part): (a.shape, a.tobytes()) for name, payload in artifacts.items()
+            for part, a in (payload.items() if isinstance(payload, dict) else [(None, payload)])}
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(doc=documents(), exponent=st.integers(0, 18), threads=st.sampled_from((1, 2, 3)))
+def test_artifacts_do_not_depend_on_the_split(doc, exponent, threads):
+    # DRAW_BLOCK_UNIFORMS fixes the chunks, the link blocks of a one-realization
+    # chunk and the statistics' RB blocks.  A time row of these documents holds at
+    # most 3 x 24 channel or Gram entries, so only a split of 2**6 or less cuts one
+    several = isinstance(doc["users"], list) and len(doc["users"]) > 1
+    doc["outputs"] = [name for name in ARTIFACT_NAMES if several or "correlation" not in name]
+    try:
+        config = parse_config(json.dumps(doc))
+    except ConfigError:
+        assume(False)
+    default = _artifact_bytes(config, 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenario, "DRAW_BLOCK_UNIFORMS", 2 ** exponent)
+        assert _artifact_bytes(config, threads) == default

@@ -266,15 +266,14 @@ class TestParseConfig:
     @pytest.mark.parametrize("output", ["eigencdf", "cross-correlation", "correlation-matrix"])
     @pytest.mark.parametrize("past", [0, 1], ids=["at-limit", "one-past"])
     def test_size_limit_of_gram_stack(self, output, past):
-        # one realization's per-RB (t_max, f_max, K, K) Gram or correlation
-        # stack: 2**22 RBs * K**2 = 4 entries
-        doc = _doc(geometry={"n_antennas": 1}, grid={"t_max": 2 ** 22 + past},
-                   outputs=[output])
-        doc["users"] *= 2
+        # the statistics need one K x K Gram matrix, users**2 entries, not a
+        # per-RB stack: 4096 users at the limit
+        doc = _doc(geometry={"n_antennas": 1}, outputs=[output])
+        doc["users"] *= 2 ** 12 + past
         if not past:
             parse_config(json.dumps(doc))
         else:
-            with pytest.raises(ConfigError, match="too large: the per-RB Gram stack"):
+            with pytest.raises(ConfigError, match="too large: the Gram matrix users"):
                 parse_config(json.dumps(doc))
 
 
@@ -433,10 +432,10 @@ class TestRunScenario:
     def test_statistics_run_once_per_chunk(self, counting):
         from blockfade import analytics, scenario
         # 11 realizations in chunks of 5: each chunk draws both links of all
-        # its realizations in one block, takes the Gram and correlation
-        # matrices once per time row of RBs (t_max = 2) and the eigenvalues once
+        # its realizations in one block and takes one Gram matrix stack per time
+        # row of RBs (t_max = 2), which feeds the eigenvalues and the correlation
         counting(scenario, "add_links")
-        for name in ("gram", "eigenvalues_hermitian", "pairwise_correlation"):
+        for name in ("gram", "eigenvalues_hermitian", "gram_correlation"):
             counting(analytics, name)
         doc = _doc(geometry={"n_antennas": 512}, grid={"t_max": 2, "f_max": 3},
                    realizations=11, outputs=list(scenario.ARTIFACT_NAMES))
@@ -445,7 +444,7 @@ class TestRunScenario:
         assert _chunk_size(config) == 5
         run_scenario(config)
         assert counting.calls == {"add_links": 3, "gram": 6,
-                                  "eigenvalues_hermitian": 3, "pairwise_correlation": 6}
+                                  "eigenvalues_hermitian": 6, "gram_correlation": 6}
 
     def test_chunk_bounded_by_gram_stack(self, counting):
         from blockfade import analytics
@@ -634,27 +633,23 @@ class TestRealizationKernel:
         power = sum(analytics.ordered_mean((np.abs(h) ** 2).reshape(-1, 2048, 2))
                     for h in kept) / 2
         assert np.array_equal(artifacts["power-profile"], power)
-        xcorr = [analytics.ordered_mean(analytics.pairwise_correlation(h).reshape(-1, 2, 2))
-                 for h in kept]
+        xcorr = [analytics.ordered_mean(
+            analytics.gram_correlation(analytics.gram(h)).reshape(-1, 2, 2)) for h in kept]
         assert np.array_equal(artifacts["correlation-matrix"],
                               analytics.average_correlation(xcorr))
 
-    def test_statistics_copy_at_most_a_draw_block(self, monkeypatch):
-        # one 1024-RB time row of N=1024 and 2 users is 32 MiB; each Gram and
-        # correlation call sees at most DRAW_BLOCK_UNIFORMS entries of it (1 MiB)
+    @staticmethod
+    def _statistic_peaks(monkeypatch, config) -> dict:
+        """Traced peak of each gram, eigenvalues_hermitian and gram_correlation call
+        of a run, above what was allocated when the call began, by function."""
         from blockfade import analytics
-        users = [{"clusters": [{"direction": 0.3 + 1.6 * j, "spread_fraction": 0.5}]}
-                 for j in range(2)]
-        config = parse_config(json.dumps(_doc(
-            geometry={"n_antennas": 1024}, users=users, grid={"t_max": 1, "f_max": 1024},
-            outputs=["eigencdf", "correlation-matrix"])))
-        peaks = []
-        for name in ("gram", "pairwise_correlation"):
-            def traced(h, real=getattr(analytics, name)):
+        peaks = {}
+        for name in ("gram", "eigenvalues_hermitian", "gram_correlation"):
+            def traced(a, name=name, real=getattr(analytics, name)):
                 tracemalloc.reset_peak()
                 start = tracemalloc.get_traced_memory()[0]
-                result = real(h)
-                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+                result = real(a)
+                peaks.setdefault(name, []).append(tracemalloc.get_traced_memory()[1] - start)
                 return result
             monkeypatch.setattr(analytics, name, traced)
         tracemalloc.start()
@@ -662,8 +657,37 @@ class TestRealizationKernel:
             run_scenario(config)
         finally:
             tracemalloc.stop()
-        assert len(peaks) == 2 * 32
-        assert max(peaks) < 2 * 2 ** 20
+        return peaks
+
+    def test_statistics_copy_at_most_a_draw_block(self, monkeypatch):
+        # one 1024-RB time row of N=1024 and 2 users is 32 MiB; each statistic call
+        # sees at most DRAW_BLOCK_UNIFORMS entries of it (1 MiB)
+        users = [{"clusters": [{"direction": 0.3 + 1.6 * j, "spread_fraction": 0.5}]}
+                 for j in range(2)]
+        config = parse_config(json.dumps(_doc(
+            geometry={"n_antennas": 1024}, users=users, grid={"t_max": 1, "f_max": 1024},
+            outputs=["eigencdf", "correlation-matrix"])))
+        peaks = self._statistic_peaks(monkeypatch, config)
+        assert {name: len(p) for name, p in peaks.items()} == {
+            "gram": 32, "eigenvalues_hermitian": 32, "gram_correlation": 32}
+        assert max(map(max, peaks.values())) < 2 * 2 ** 20
+
+    @pytest.mark.parametrize("n, users, grid, outputs, blocks, limit", [
+        # 32 single-cluster users, N = 8: a 32-RB time row's Gram matrices are 512 KiB
+        (8, 32, (32, 32), ["eigencdf"], 32, 2),
+        # 64 users at N = 1: a K x K Gram of 64 KiB per RB, 16 RBs of the row per block
+        (1, 64, (1, 1024), ["eigencdf", "cross-correlation", "correlation-matrix"], 64, 4),
+    ], ids=["many-users", "k-above-n"])
+    def test_statistic_transients_stay_bounded(self, monkeypatch, n, users, grid, outputs,
+                                               blocks, limit):
+        # no call holds a chunk's per-RB Gram stack (16 MiB and 64 MiB here)
+        doc = _doc(geometry={"n_antennas": n}, grid={"t_max": grid[0], "f_max": grid[1]},
+                   outputs=outputs)
+        doc["users"] = [{"clusters": [{"direction": 3.1 * j / users, "spread_fraction": 0.5}]}
+                        for j in range(users)]
+        peaks = self._statistic_peaks(monkeypatch, parse_config(json.dumps(doc)))
+        assert len(peaks["gram"]) == blocks
+        assert max(map(max, peaks.values())) < limit * 2 ** 20
 
 
 def _workspace_configs() -> dict:
