@@ -6,9 +6,9 @@ Every statistic is a numpy array, or a dict of arrays where it has several
 parts (a histogram's edges and counts).  The per-matrix statistics accept
 one N x K channel matrix or a stack (..., N, K) of them, such as the
 (t_max, f_max, N, K) tensor of one realization, and work on the whole stack
-at once.  Means over realizations or resource blocks accumulate in a fixed
-order (:func:`ordered_mean`), so threaded runs reduce bit for bit like
-sequential ones.
+at once.  :func:`ordered_mean` is the only reduction: means over realizations
+or resource blocks are sums in a fixed order, so threaded runs reduce bit for
+bit like sequential ones.
 """
 
 from __future__ import annotations
@@ -83,16 +83,6 @@ def ordered_mean(arrays) -> np.ndarray:
     array), summed one after another in the given order so the result never
     depends on how the arrays were produced."""
     return sum(arrays) / len(arrays)
-
-
-def average_correlation(per_realization) -> np.ndarray:
-    """K x K user correlation matrix from per-realization correlation
-    magnitudes: their ordered mean, symmetrized, with the diagonal forced to
-    exactly 1."""
-    acc = ordered_mean(per_realization)
-    acc = 0.5 * (acc + acc.T)
-    np.fill_diagonal(acc, 1.0)
-    return acc
 
 
 def coefficient_histogram(values, bins_per_axis: int = 64) -> dict:

@@ -345,39 +345,42 @@ class _Workspace:
 
 
 def _realize_chunk(config: ScenarioConfig, links: LinkTable, pool: np.ndarray, ws: _Workspace,
-                   needs: set, kept: Optional[np.ndarray], indices: range) -> dict:
-    """Artifact contributions of the C realizations in the range ``indices`` (see
-    DRAW_BLOCK_UNIFORMS), from one kernel pass in the worker's workspace ``ws``, in
-    realization order along a leading axis; ``pool`` is ``seed_pool(config.seed)``.
+                   needs: set, kept: dict, indices: range) -> dict:
+    """One kernel pass over the C realizations in the range ``indices`` (see
+    DRAW_BLOCK_UNIFORMS) in the worker's workspace ``ws``; ``pool`` is
+    ``seed_pool(config.seed)``.  It writes their rows of the run-level arrays in ``kept``
+    and returns only their ``power-profile`` and ``correlation-matrix`` means, each
+    (C, ...) in realization order.
 
     Draw order from substream(seed, m), the reproducibility contract: first one
     spatial block of uniforms holding, per (user, cluster) in lexicographic order,
     the direction (only for "random" clusters) and then the cluster phase;
     afterwards per (user, cluster) the link grid, a u1 block followed by a u2 block.
-    The generator is re-keyed to m's stream; at C > 1 all links are one block, drawn
-    into m's row after its spatial block, at C = 1 consecutive links are drawn block
-    by block as ``add_links`` takes their grids.  The statistics take the (C, t_max,
-    f_max, N, K) channel tensor, ``kept[indices]`` with ``kept`` set, in RB blocks (see
-    DRAW_BLOCK_UNIFORMS) t-major; one ``gram`` per block feeds every user statistic, and
-    the power and correlation rows are summed RB by RB into each realization's mean.
+    The generator is re-keyed to m's stream and draws its first link block into m's
+    row after its spatial block; at C > 1 that block holds all links, at C = 1 the
+    later links are drawn block by block as ``add_links`` takes their grids.  The
+    statistics take the (C, t_max, f_max, N, K) channel tensor in RB blocks (see
+    DRAW_BLOCK_UNIFORMS) t-major; one ``gram`` per block feeds every user statistic,
+    and the power and correlation rows are summed RB by RB into each realization's
+    mean.  A block whose Gram matrices are not finite (an overflowed channel power)
+    gets NaN eigenvalues, unsolved.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         c, step, k, n_links = len(indices), ws.normals.shape[1], config.n_users, len(links.user)
-        blocks = [slice(a, min(a + step, n_links)) for a in range(0, n_links, step)]
         for i, key in enumerate(philox_keys(pool, indices).tolist()):
             rekey(ws.rng, key).random(out=ws.spatial[i])
-            if len(blocks) == 1:
-                ws.rng.random(out=ws.uniforms[i])
+            ws.rng.random(out=ws.uniforms[i])  # the first link block, `step` links
         # directions pi * u and phases 2*pi * u: rng.uniform(0, pi) and (0, 2*pi) one by one
         p = link_means(links, TWO_PI * ws.spatial[:c, links.phase_at],
                        np.pi * ws.spatial[:c, links.direction_at], out=ws.means[:c])
-        h = ws.h[:c] if kept is None else kept[indices.start:indices.stop]
+        at = slice(indices.start, indices.stop)
+        h = kept["channels"][at] if "channels" in kept else ws.h[:c]
 
         def grids():  # each link's grid r * q (C, N, t_max, f_max), one block at a time
-            for block in blocks:
+            for block in (slice(a, min(a + step, n_links)) for a in range(0, n_links, step)):
                 width = block.stop - block.start
                 u = ws.uniforms[:c, :width]
-                if len(blocks) > 1:  # C = 1: the realization's stream goes on block by block
+                if block.start > 0:  # C = 1: the realization's stream goes on block by block
                     ws.rng.random(out=u)
                 # every link's u1 and u2 gathered into two contiguous blocks
                 split = ws.flat[:u.size].reshape((2, c, width) + u.shape[3:])
@@ -391,26 +394,22 @@ def _realize_chunk(config: ScenarioConfig, links: LinkTable, pool: np.ndarray, w
         rbs, f_max = h.reshape((c, -1) + h.shape[-2:]), h.shape[2]
         width = max(1, DRAW_BLOCK_UNIFORMS // (c * max(h.shape[-2], k) * k))
         iu = np.triu_indices(k, 1)
-        out = {name: np.empty((c, rbs.shape[1], size)) for name, size in
-               (("cross-correlation", len(iu[0])), ("eigencdf", k)) if name in needs}
         power = xcorr = 0  # each realization's sums over its RBs, RB by RB as ordered_mean
         for rows in (slice(a, min(a + width, t + f_max)) for t in range(0, rbs.shape[1], f_max)
                      for a in range(t, t + f_max, width)):
             if "power-profile" in needs:
-                for row in (np.abs(rbs[:, rows]) ** 2).swapaxes(0, 1):
-                    power += row
+                power = sum((np.abs(rbs[:, rows]) ** 2).swapaxes(0, 1), power)
             if needs & {"cross-correlation", "eigencdf", "correlation-matrix"}:
                 g = analytics.gram(rbs[:, rows])
                 if "cross-correlation" in needs:
-                    out["cross-correlation"][:, rows] = np.abs(g[..., iu[0], iu[1]])
+                    kept["cross-correlation"][at, rows] = np.abs(g[..., iu[0], iu[1]])
                 if "eigencdf" in needs:
-                    out["eigencdf"][:, rows] = analytics.eigenvalues_hermitian(g)
+                    kept["eigencdf"][at, rows] = (analytics.eigenvalues_hermitian(g)
+                                                  if np.isfinite(g).all() else np.nan)
                 if "correlation-matrix" in needs:
-                    for row in analytics.gram_correlation(g).swapaxes(0, 1):
-                        xcorr += row
-        out.update((name, total / rbs.shape[1]) for name, total in (
-            ("power-profile", power), ("correlation-matrix", xcorr)) if name in needs)
-    return out
+                    xcorr = sum(analytics.gram_correlation(g).swapaxes(0, 1), xcorr)
+        return {name: total / rbs.shape[1] for name, total in (
+            ("power-profile", power), ("correlation-matrix", xcorr)) if name in needs}
 
 
 def _require_finite(artifacts: dict):
@@ -436,49 +435,54 @@ def run_scenario(config: ScenarioConfig, out_dir=None, threads: int = 1) -> Repo
         raise ConfigError(f"threads must be a positive integer, got {threads!r}")
     needs = set(config.outputs)
     links = link_table(config.users, config.geometry)
-    kept = None
-    if needs & {"histogram", "raw-channel"}:  # the outputs that keep every channel
-        kept = np.empty((config.realizations, config.grid.t_max, config.grid.f_max,
-                         config.geometry.n_antennas, config.n_users), dtype=complex)
-    size = max(1, DRAW_BLOCK_UNIFORMS // (config.grid.t_max * config.grid.f_max * max(
-        2 * len(links.user) * config.geometry.n_antennas, config.n_users ** 2)))
-    chunks = [range(config.realizations)[a:a + size] for a in range(0, config.realizations, size)]
+    r, t, f, n, k = (config.realizations, config.grid.t_max, config.grid.f_max,
+                     config.geometry.n_antennas, config.n_users)
+    kept = {}  # every per-realization output, written in place by the chunks
+    if needs & {"histogram", "raw-channel"}:
+        kept["channels"] = np.empty((r, t, f, n, k), dtype=complex)
+    for name, width in (("eigencdf", k), ("cross-correlation", k * (k - 1) // 2)):
+        if name in needs:
+            kept[name] = np.empty((r, t * f, width))
+    size = max(1, DRAW_BLOCK_UNIFORMS // (t * f * max(2 * len(links.user) * n, k ** 2)))
+    chunks = [range(r)[a:a + size] for a in range(0, r, size)]
     pool, local = seed_pool(config.seed), threading.local()  # both freed when the run returns
 
     def realize(chunk):
         if not hasattr(local, "workspace"):  # one workspace per worker thread
-            local.workspace = _Workspace(config, links, size, keep=kept is not None)
+            local.workspace = _Workspace(config, links, size, keep="channels" in kept)
         return _realize_chunk(config, links, pool, local.workspace, needs, kept, chunk)
 
     workers = min(threads, len(chunks))
-    results, power = [], 0  # power-profile rows are summed in realization order on arrival
+    sums = {}  # the chunks' means, summed in realization order on arrival as ordered_mean
     # an overflowing channel power only becomes a non-finite artifact here
     with np.errstate(over="ignore", invalid="ignore"), \
             ThreadPoolExecutor(max_workers=workers) as executor:  # one worker: no thread
-        for result in map(realize, chunks) if workers == 1 else executor.map(realize, chunks):
-            for row in result.pop("power-profile", ()):
-                power += row
-            results.append(result)
+        for means in map(realize, chunks) if workers == 1 else executor.map(realize, chunks):
+            for name, rows in means.items():
+                sums[name] = sum(rows, sums.get(name, 0))
         artifacts = {}
         if "histogram" in needs:
-            artifacts["histogram"] = analytics.coefficient_histogram(kept.ravel(), config.bins)
+            artifacts["histogram"] = analytics.coefficient_histogram(kept["channels"].ravel(),
+                                                                     config.bins)
         if "cross-correlation" in needs:
-            mags = np.concatenate([r["cross-correlation"] for r in results]).ravel()
+            mags = kept["cross-correlation"].ravel()
             top = max(1.0, float(mags.max()))
             edges = np.linspace(0.0, top, config.bins + 1)
             counts, _ = np.histogram(mags, bins=edges)
             artifacts["cross-correlation"] = {"edges": edges, "counts": counts.astype(np.int64),
                                               "magnitudes": mags}
         if "eigencdf" in needs:
-            eigen = np.concatenate([r["eigencdf"] for r in results]).ravel()
-            artifacts["eigencdf"] = analytics.empirical_cdf(eigen / config.mean_link_power())
+            eigen = kept["eigencdf"].ravel() / config.mean_link_power()
+            artifacts["eigencdf"] = analytics.empirical_cdf(eigen)
         if "power-profile" in needs:
-            artifacts["power-profile"] = power / config.realizations  # as ordered_mean
+            artifacts["power-profile"] = sums["power-profile"] / r
         if "correlation-matrix" in needs:
-            artifacts["correlation-matrix"] = analytics.average_correlation(
-                [row for r in results for row in r["correlation-matrix"]])
+            # gram is exactly Hermitian, so each |G_ij| / (d_i d_j) and their mean are
+            # bitwise symmetric; the diagonal, |G_ii| / d_i**2, is 1 within rounding
+            artifacts["correlation-matrix"] = sums["correlation-matrix"] / r
+            np.fill_diagonal(artifacts["correlation-matrix"], 1.0)
         if "raw-channel" in needs:
-            artifacts["raw-channel"] = kept
+            artifacts["raw-channel"] = kept["channels"]
     _require_finite(artifacts)
 
     bundle = ReportBundle(config=config, artifacts=artifacts)

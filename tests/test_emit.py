@@ -510,7 +510,7 @@ class TestCli:
 
     @pytest.mark.parametrize("output", ["correlation-matrix", "eigencdf", "cross-correlation"])
     def test_overflowing_gram_exits_3(self, output, tmp_path, capsys):
-        # an overflowed Gram matrix: inf / inf correlations, a non-finite eigen solve
+        # an overflowed Gram matrix: inf / inf correlations, NaN eigenvalues unsolved
         path = tmp_path / "c.json"
         path.write_text(json.dumps(self._overflowing([output])))
         with warnings.catch_warnings():
@@ -518,6 +518,7 @@ class TestCli:
             assert main(["simulate", str(path)]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure:")
+        assert f"{output} is not finite" in err[0]
 
     def test_overflowing_power_exits_3(self, tmp_path, capsys):
         doc = self._overflowing(["correlation-matrix", "power-profile", "cross-correlation",

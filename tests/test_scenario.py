@@ -459,6 +459,27 @@ class TestRunScenario:
         run_scenario(config)
         assert counting.calls == {"gram": 3}
 
+    @pytest.mark.parametrize("name", [name for name in PRESET_NAMES if "correlation-matrix"
+                                      in expand_preset(name).outputs]
+                             + ["time-correlated", "one-rb"])
+    def test_correlation_matrix_is_symmetric_with_unit_diagonal(self, name):
+        # the run does not symmetrize: gram is exactly Hermitian, so the mean is bitwise
+        # symmetric.  It sets the diagonal to exactly 1: one RB's |G_ii| / d_i**2 may be
+        # an ulp off 1, which only a mean over many RBs rounds away
+        users = [{"clusters": [{"direction": "random", "spread_fraction": 0.4 + 0.2 * j},
+                               {"direction": 0.7 * j + 0.3, "spread_fraction": 0.8,
+                                "mean_power": 0.5}]} for j in range(3)]
+        docs = {"time-correlated": {"realizations": 9, "grid": {"t_max": 8, "f_max": 5},
+                                    "correlation": {"mode": "time", "model": "exponential",
+                                                    "rho": 0.9, "length": 8}},
+                "one-rb": {"seed": 0, "realizations": 1}}
+        config = (self._config(geometry={"n_antennas": 64}, users=users,
+                               outputs=["correlation-matrix"], **docs[name])
+                  if name in docs else expand_preset(name))
+        corr = run_scenario(config).artifacts["correlation-matrix"]
+        assert corr.tobytes() == np.ascontiguousarray(corr.T).tobytes()
+        assert (corr.diagonal() == 1.0).all()
+
     @pytest.mark.parametrize("name, payload", [
         ("cross-correlation", {"edges": np.array([0.0, 1.0]), "counts": np.array([2]),
                                "magnitudes": np.array([0.5, np.nan])}),
@@ -633,10 +654,10 @@ class TestRealizationKernel:
         power = sum(analytics.ordered_mean((np.abs(h) ** 2).reshape(-1, 2048, 2))
                     for h in kept) / 2
         assert np.array_equal(artifacts["power-profile"], power)
-        xcorr = [analytics.ordered_mean(
-            analytics.gram_correlation(analytics.gram(h)).reshape(-1, 2, 2)) for h in kept]
-        assert np.array_equal(artifacts["correlation-matrix"],
-                              analytics.average_correlation(xcorr))
+        xcorr = analytics.ordered_mean([analytics.ordered_mean(
+            analytics.gram_correlation(analytics.gram(h)).reshape(-1, 2, 2)) for h in kept])
+        np.fill_diagonal(xcorr, 1.0)
+        assert np.array_equal(artifacts["correlation-matrix"], xcorr)
 
     @staticmethod
     def _statistic_peaks(monkeypatch, config) -> dict:
