@@ -130,15 +130,17 @@ def _render(template: str, v: np.ndarray) -> str:
     exact = (a >= 1e-10) & (a < 1e15)
     d, x = _digits(np.where(exact, a, 1.0))
     digits = np.full(len(d), 17)
-    for w in (16, 8, 4, 2, 1):  # strip the trailing zeros
-        whole, rest = np.divmod(d, _POW10[w])
-        d, digits = np.where(rest == 0, whole, d), digits - w * (rest == 0)
+    for w in (16, 8, 4, 2, 1):  # strip the trailing zeros (// by a scalar uses libdivide)
+        whole = d // _POW10[w]
+        zeros = whole * _POW10[w] == d
+        d, digits = np.where(zeros, whole, d), digits - w * zeros
     templates, fracs = _layouts()
     code = np.where(exact, ((x + 10) * 2 + np.signbit(v)) * 17 + digits - 1, -1)
     # whole digits or the float, then the fraction digits where the layout has them
     used = np.stack((np.ones_like(exact), fracs[code] > 0), -1).ravel()
-    args = np.stack(np.divmod(d, _POW10[fracs[code]]), -1).ravel()[used].astype(object)
-    args[np.cumsum(used)[::2][~exact] - 1] = v[~exact]
+    args = np.stack(np.divmod(d, _POW10[fracs[code]]), -1).ravel()[used].tolist()
+    for at, value in zip((np.cumsum(used)[::2][~exact] - 1).tolist(), v[~exact].tolist()):
+        args[at] = value
     return (template % tuple(templates[code].tolist())) % tuple(args)
 
 

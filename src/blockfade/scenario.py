@@ -325,9 +325,11 @@ def expand_preset(name: str, seed: int = DEFAULT_PRESET_SEED) -> ScenarioConfig:
 class _Workspace:
     """One worker's Philox generator and chunk buffers for one ``run_scenario`` call; a
     chunk uses the leading rows of each.  A block of link-grid uniforms goes to
-    ``uniforms``, gathered to ``normals`` (as ``flat``), its Gaussians of variance r**2
-    to ``uniforms`` (as ``spare``), the correlated grids to ``normals``, and a user's
-    sum of grids to ``acc``; ``h`` is the channel tensor of a run that keeps none."""
+    ``uniforms``, gathered to ``normals`` (as ``flat``) and its Gaussians of variance
+    r**2 to ``uniforms`` (as ``spare``); a block of one link of one realization needs
+    no gather, and its Gaussians go to ``normals``.  A user's sum of grids goes to
+    ``acc`` and its correlation to whichever of ``acc`` and the grid's buffer does not
+    hold the sum; ``h`` is the channel tensor of a run that keeps none."""
 
     def __init__(self, config: ScenarioConfig, links: LinkTable, size: int, keep: bool):
         n, t, f = config.geometry.n_antennas, config.grid.t_max, config.grid.f_max
@@ -376,18 +378,21 @@ def _realize_chunk(config: ScenarioConfig, links: LinkTable, pool: np.ndarray, w
         at = slice(indices.start, indices.stop)
         h = kept["channels"][at] if "channels" in kept else ws.h[:c]
 
-        def grids():  # each link's grid r * q (C, N, t_max, f_max), one block at a time
+        def grids():  # each link's grid r * z (C, N, t_max, f_max), one block at a time
             for block in (slice(a, min(a + step, n_links)) for a in range(0, n_links, step)):
                 width = block.stop - block.start
                 u = ws.uniforms[:c, :width]
                 if block.start > 0:  # C = 1: the realization's stream goes on block by block
                     ws.rng.random(out=u)
-                # every link's u1 and u2 gathered into two contiguous blocks
-                split = ws.flat[:u.size].reshape((2, c, width) + u.shape[3:])
-                np.copyto(split, u.transpose(2, 0, 1, 3, 4, 5))
-                z = complex_normals(*split, ws.variance[block], out=ws.spare[:c, :width])
-                yield from correlate(config.correlation, z, ws.normals[:c, :width]).swapaxes(0, 1)
-        add_links(h, links.user, p, grids(), ws.acc[:c])
+                if c * width == 1:  # one link of one realization: u1 and u2 are contiguous
+                    z = complex_normals(u[:, :, 0], u[:, :, 1], ws.variance[block],
+                                        out=ws.normals[:c, :width])
+                else:  # every link's u1 and u2 gathered into two contiguous blocks
+                    split = ws.flat[:u.size].reshape((2, c, width) + u.shape[3:])
+                    np.copyto(split, u.transpose(2, 0, 1, 3, 4, 5))
+                    z = complex_normals(*split, ws.variance[block], out=ws.spare[:c, :width])
+                yield from z.swapaxes(0, 1)
+        add_links(h, links.user, p, grids(), ws.acc[:c], partial(correlate, config.correlation))
 
         # the (C, RBs, N, K) tensor t-major in blocks of one time row or part of one, whose
         # entries and Gram matrices each fit DRAW_BLOCK_UNIFORMS: the statistics stay O(block)

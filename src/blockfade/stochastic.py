@@ -11,12 +11,13 @@ Sampling is reproducible: all Gaussians come from the fixed transform
 ``sqrt(-ln u1 * r**2) * exp(2j*pi*u2)`` (a link's grid ``r * q`` as drawn),
 by quarter turns, on uniforms from a counter-based (Philox) stream.  A seed
 and a stream path fix every uniform, and every value but the last digits
-that libm and BLAS may round otherwise on another platform.  The stream
-order is part of that contract: a link grid takes a block of u1 values
-followed by a block of u2 values, and several consecutive links drawn as
-one ``(n_links, 2, ...)`` block are the same sequence.  ``substream`` is
-the reference stream of a path; a run re-keys one generator per worker to
-it, with keys computed for a chunk of paths at once (``philox_keys``).
+that libm, numpy's SIMD ``tan`` and BLAS may round otherwise on another
+platform or CPU.  The stream order is part of that contract: a link grid
+takes a block of u1 values followed by a block of u2 values, and several
+consecutive links drawn as one ``(n_links, 2, ...)`` block are the same
+sequence.  ``substream`` is the reference stream of a path; a run re-keys
+one generator per worker to it, with keys computed for a chunk of paths at
+once (``philox_keys``).
 
 ``CorrelationSpec`` validates its fields at construction, so
 ``build_covariance`` only builds the matrix; ``ScenarioConfig`` checks
@@ -25,8 +26,10 @@ that reaches the sampler fails in numpy's ``matmul``.  A custom matrix
 must be real, square, symmetric, unit-diagonal and PSD, where PSD means
 that ``cholesky_psd`` (LAPACK after a 1e-12 diagonal jitter) factors it.
 The factor is built once per spec (``CorrelationSpec.lower``), for a
-custom matrix at construction as its PSD check, and the correlation
-itself is one batched BLAS ``matmul`` per block of links (``correlate``).
+custom matrix at construction as its PSD check.  The correlation is linear
+and every link shares it, so a run correlates each user's sum of grids, in
+one batched BLAS ``matmul`` per user and chunk (``correlate``); along time
+the real factor multiplies the grids' real view.
 """
 
 from __future__ import annotations
@@ -196,7 +199,9 @@ def complex_normals(u1: np.ndarray, u2: np.ndarray, variance=1.0, out=None) -> n
     E|q|^2 = variance, of two equal blocks of uniforms, u1 taken as ``1 - u`` in (0, 1],
     into ``out`` if given; the blocks and out's bytes are the scratch.  The phase is
     ``1j**k * (cos psi + 1j*sin psi)``, k = rint(4*u2), psi = 2*pi*(u2 - k/4) exactly,
-    |psi| <= pi/4 where libm is fast: u2 = 0, 1/4, 1/2, 3/4 give exactly 1, 1j, -1, -1j."""
+    |psi| <= pi/4 where libm is fast: u2 = 0, 1/4, 1/2, 3/4 give exactly 1, 1j, -1, -1j.
+    ``y = r sin psi`` is libm's, and ``x = r cos psi`` is taken as ``r - tan(psi/2) * y``
+    by numpy's vectorized tan, within 2 ulp of the radius."""
     radius = np.log(np.subtract(1.0, u1, out=u1), out=u1)
     np.sqrt(np.multiply(radius, np.negative(variance), out=radius), out=radius)
     out = np.empty(u1.shape, dtype=complex) if out is None else out
@@ -211,9 +216,10 @@ def complex_normals(u1: np.ndarray, u2: np.ndarray, variance=1.0, out=None) -> n
     # and swaps x and y
     x, y = radius.view(np.uint64), psi.view(np.uint64)
     x ^= np.left_shift(np.bitwise_and(k, 2, out=t), 62, out=t)
-    cos = np.cos(psi, out=t.view(float))
+    # r cos psi = r - 2 r sin(psi/2)**2 = r - tan(psi/2) * r sin psi
+    tan = np.tan(np.multiply(psi, 0.5, out=t.view(float)), out=t.view(float))
     np.multiply(radius, np.sin(psi, out=psi), out=psi)
-    radius *= cos
+    radius -= np.multiply(tan, psi, out=tan)
     y ^= np.left_shift(k, 63, out=t)
     np.negative(np.bitwise_and(k, 1, out=t), out=t)  # all ones at odd k
     y ^= x
@@ -259,11 +265,16 @@ def cholesky_psd(sigma: np.ndarray) -> np.ndarray:
 def correlate(spec: CorrelationSpec, z: np.ndarray, out=None) -> np.ndarray:
     """Grids (..., t_max, f_max) of i.i.d. Gaussians z correlated in one batched BLAS
     product, into ``out`` if given: mode "time" makes each column (fixed f) a
-    CN(0, Sigma) draw, ``L @ z``; "frequency" each row, ``z @ L.T``; "none" is z."""
+    CN(0, Sigma) draw, ``L @ z``; "frequency" each row, ``z @ L.T``; "none" is z.
+    L is real, so along time it multiplies the real view (..., t_max, 2*f_max) of z,
+    which gives the complex product's bits; z's last axis, and out's, must then be
+    contiguous, as every grid the sampler draws is."""
     if spec.mode == "none":
         return z
     if spec.mode == "time":
-        return np.matmul(spec.lower, z, out=out)
+        out = np.empty_like(z) if out is None else out
+        np.matmul(spec.lower, z.view(float), out=out.view(float))
+        return out
     return np.matmul(z, spec.lower.T, out=out)
 
 

@@ -1,13 +1,15 @@
 """Tests for the deterministic spatial structure (geometry, clusters, pairs)
 and for adding links into the channel tensor."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from blockfade import (ArrayGeometry, ClusterSpec, CorrelationSpec, ResourceGrid, UserSpec,
                        substream)
 from blockfade.model import add_links, link_means, link_table, phase_ramps
-from blockfade.stochastic import sample_link_grids
+from blockfade.stochastic import correlate, sample_link_grids
 
 QUARTER = ArrayGeometry(n_antennas=4, spacing_ratio=0.25)
 
@@ -226,7 +228,8 @@ def _pairs_and_grids(spreads, directions, rng, betas=None, geometry=GEO, grid=GR
 def _assemble(p, q):
     """(t_max, f_max, N, 1) channel tensor of links that all belong to user 0."""
     h = np.empty(q.shape[2:] + (q.shape[1], 1), dtype=complex)
-    add_links(h, [0] * len(p), p, q, np.empty(q.shape[1:], dtype=complex))
+    add_links(h, [0] * len(p), p, q, np.empty(q.shape[1:], dtype=complex),
+              partial(correlate, CorrelationSpec.none()))
     return h
 
 

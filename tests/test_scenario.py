@@ -16,7 +16,7 @@ from blockfade import (ArrayGeometry, ClusterSpec, ConfigError, CorrelationSpec,
 from blockfade.model import link_means, link_table
 from blockfade.scenario import (ARTIFACT_NAMES, DRAW_BLOCK_UNIFORMS, MAX_ARRAY_ENTRIES,
                                 PRESET_NAMES, _require_finite, config_to_dict)
-from blockfade.stochastic import sample_link_grids
+from blockfade.stochastic import correlate, sample_link_grids
 
 MINIMAL = {
     "seed": 7,
@@ -528,12 +528,13 @@ class TestRunScenario:
         assert np.median(mags_tight) < np.median(mags_iid)
 
 
-def _reference_channels(config) -> np.ndarray:
+def _reference_channels(config, per_link=False) -> np.ndarray:
     """(R, t_max, f_max, N, K) channel tensors built link by link, in the
     documented draw order: per (user, cluster) the direction of a "random"
     cluster and the phase, then per (user, cluster) the link grid, its Rician
     part r folded in as the variance r**2.  A user's column of every RB is
-    the sum of its grids in link order plus the sum of its means."""
+    the correlated sum of its grids in link order plus the sum of its means;
+    with ``per_link`` each grid is correlated before the sum instead."""
     geometry, grid = config.geometry, config.grid
     n = geometry.n_antennas
     out = []
@@ -550,11 +551,13 @@ def _reference_channels(config) -> np.ndarray:
             users.append(links)
         h = np.empty((grid.t_max, grid.f_max, n, config.n_users), dtype=complex)
         for j, links in enumerate(users):
-            grids = [sample_link_grids(config.correlation, grid, n, 1, rng, variance=r ** 2)[0]
-                     .transpose(1, 2, 0) for _, r in links]
+            spec = config.correlation if per_link else CorrelationSpec.none()
+            grids = [sample_link_grids(spec, grid, n, 1, rng, variance=r ** 2)[0]
+                     for _, r in links]
             acc = grids[0].copy()
             for q in grids[1:]:
                 acc += q
+            acc = (acc if per_link else correlate(config.correlation, acc)).transpose(1, 2, 0)
             mean = links[0][0]
             for p, _ in links[1:]:
                 mean = mean + p
@@ -596,8 +599,8 @@ class TestRealizationKernel:
         assert sum(len(u.clusters) for u in config.users) <= _links_per_draw(config)
         assert _kernel_channels(config).tobytes() == _reference_channels(config).tobytes()
 
-    @pytest.mark.parametrize("mode, length", [("time", 14), ("frequency", 12)])
-    def test_correlated_grid_blocks_cross_users(self, mode, length, tmp_path):
+    @staticmethod
+    def _correlated_config(mode, length):
         users = [{"clusters": [{"direction": 0.3 + j, "spread_fraction": 0.4,
                                 "mean_power": list(np.linspace(0.5, 1.5, 64))},
                                {"direction": "random", "spread_fraction": 0.8,
@@ -606,7 +609,11 @@ class TestRealizationKernel:
                    grid={"t_max": 14, "f_max": 12}, seed=33, bins=8,
                    correlation={"mode": mode, "model": "exponential", "rho": 0.7,
                                 "length": length})
-        config = parse_config(json.dumps(doc))
+        return parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize("mode, length", [("time", 14), ("frequency", 12)])
+    def test_correlated_grid_blocks_cross_users(self, mode, length, tmp_path):
+        config = self._correlated_config(mode, length)
         # 3 links per draw and 2 clusters per user: a block edge splits a user
         assert _links_per_draw(config) == 3
         assert _kernel_channels(config).tobytes() == _reference_channels(config).tobytes()
@@ -615,6 +622,29 @@ class TestRealizationKernel:
         one = run_scenario(config, out_dir=tmp_path / "one", threads=1)
         two = run_scenario(config, out_dir=tmp_path / "two", threads=2)
         assert one.manifest == two.manifest
+
+    @pytest.mark.parametrize("mode, length", [("time", 14), ("frequency", 12)])
+    def test_correlated_sum_matches_per_link_correlation(self, mode, length):
+        # the linear correlation taken once per user, L(sum r z), against the sum of the
+        # links' correlated grids sum L(r z): equal but for rounding
+        config = self._correlated_config(mode, length)
+        per_link = _reference_channels(config, per_link=True)
+        scale = np.abs(per_link).max()
+        assert np.abs(_kernel_channels(config) - per_link).max() <= \
+            8 * np.finfo(float).eps * scale
+
+    @pytest.mark.parametrize("mode, length", [("time", 14), ("frequency", 12)])
+    def test_one_link_blocks_skip_the_gather(self, mode, length):
+        # N=128 on 14x12 RBs: one realization per chunk and one link per draw, whose u1
+        # and u2 are contiguous, so its Gaussians go straight to the workspace
+        users = [{"clusters": [{"direction": 0.2 + j, "spread_fraction": s}
+                               for s in (0.6, 0.8, 1.0)[:3 - j]]} for j in range(3)]
+        config = parse_config(json.dumps(_doc(
+            geometry={"n_antennas": 128}, users=users, realizations=2, seed=8,
+            grid={"t_max": 14, "f_max": 12},
+            correlation={"mode": mode, "model": "exponential", "rho": 0.9, "length": length})))
+        assert _chunk_size(config) == _links_per_draw(config) == 1
+        assert _kernel_channels(config).tobytes() == _reference_channels(config).tobytes()
 
     @pytest.mark.parametrize("realizations", [29, 1])
     def test_single_rb_chunk_edges(self, realizations, tmp_path):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from blockfade import (CorrelationSpec, NumericalError, ResourceGrid, build_covariance,
                        cholesky_psd, substream)
-from blockfade.stochastic import (complex_normals, philox_keys, rekey, sample_link_grids,
-                                  seed_pool)
+from blockfade.stochastic import (complex_normals, correlate, philox_keys, rekey,
+                                  sample_link_grids, seed_pool)
 
 
 class TestBuildCovariance:
@@ -115,11 +115,13 @@ class TestComplexNormal:
 
     def test_phase_within_two_ulp_of_the_radius(self):
         # random draws, the quarter turns' neighbours 1 ulp away, the ties of rint(4*u2)
-        # and the largest uniform below 1, against a long-double exp(2j*pi*u2)
-        quarters = np.arange(4) / 4
+        # k/4 +- 1/8 (psi = +-pi/4) and their neighbours 1 ulp away, and the largest
+        # uniform below 1, against a long-double exp(2j*pi*u2)
+        quarters, ties = np.arange(4) / 4, np.arange(4) / 4 + 1 / 8
         u2 = np.concatenate([substream(17, 2).random(10 ** 5),
                              np.nextafter(quarters, 1.0), np.nextafter(quarters[1:], 0.0),
-                             quarters + 1 / 8, [1.0 - 2.0 ** -53]])
+                             ties, np.nextafter(ties, 0.0), np.nextafter(ties, 1.0),
+                             [1.0 - 2.0 ** -53]])
         u1 = substream(17, 3).random(u2.size)
         radius = np.sqrt(-np.log(1.0 - u1))
         q = complex_normals(u1.copy(), u2.copy())
@@ -141,7 +143,10 @@ class TestComplexNormal:
         q = complex_normals(u1.copy(), u2.copy())
         k = np.rint(4.0 * u2)
         psi = (4.0 * u2 - k) * (np.pi / 2)
-        rc, rs = (np.sqrt(-np.log(1.0 - u1)) * f(psi) for f in (np.cos, np.sin))
+        # r sin psi, and r cos psi taken as r - tan(psi/2) * r sin psi
+        radius = np.sqrt(-np.log(1.0 - u1))
+        rs = radius * np.sin(psi)
+        rc = radius - np.tan(psi / 2) * rs
         turn = k.astype(int) % 4
         for got, want in ((q.real, np.choose(turn, [rc, -rs, -rc, rs])),
                           (q.imag, np.choose(turn, [rs, rc, -rs, -rc]))):
@@ -219,6 +224,23 @@ class TestSampleQBlock:
         np.testing.assert_allclose(q, expected, rtol=1e-13)
         assert np.array_equal(spec.lower, lower)
         assert not spec.lower.flags.writeable
+
+    @pytest.mark.parametrize("spec", [
+        CorrelationSpec.exponential("time", 0.9, 14), CorrelationSpec.exponential("time", 0.5, 1),
+        CorrelationSpec.custom("time", [[1.0, 0.5, 0.2], [0.5, 1.0, 0.5], [0.2, 0.5, 1.0]]),
+        CorrelationSpec.exponential("frequency", 0.6, 12)],
+        ids=["time", "time-one-row", "custom-time", "frequency"])
+    def test_correlate_is_the_complex_product(self, spec):
+        # along time the real factor multiplies the real view of z: the complex matmul's
+        # bits, with and without out
+        time = spec.mode == "time"
+        shape = (3, 16, spec.length, 5) if time else (3, 16, 5, spec.length)
+        z = complex_normals(*substream(43, 1).random((2,) + shape))
+        want = np.matmul(spec.lower, z) if time else np.matmul(z, spec.lower.T)
+        out = np.empty_like(z)
+        assert correlate(spec, z, out) is out
+        for got in (correlate(spec, z), out):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_factor_built_once_per_run(self, counting):
         from blockfade import parse_config, run_scenario, stochastic
