@@ -6,9 +6,10 @@ Every statistic is a numpy array, or a dict of arrays where it has several
 parts (a histogram's edges and counts).  The per-matrix statistics accept
 one N x K channel matrix or a stack (..., N, K) of them, such as the
 (t_max, f_max, N, K) tensor of one realization, and work on the whole stack
-at once.  :func:`ordered_mean` is the only reduction: means over realizations
-or resource blocks are sums in a fixed order, so threaded runs reduce bit for
-bit like sequential ones.
+at once.  Means over realizations or resource blocks are sums in a fixed
+order, so threaded runs reduce bit for bit like sequential ones: ``ordered_mean``
+sums a sequence, and the realization kernel and ``run_scenario`` keep running
+sums in the same order, RB by RB and realization by realization.
 """
 
 from __future__ import annotations

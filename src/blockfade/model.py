@@ -13,16 +13,15 @@ scenario, so ``link_table`` computes every link's Rician part and phasor
 ``|p| exp(1j * ramp)`` once, as scenario constants.  Per realization, or per
 chunk of them along a leading axis, ``link_means`` turns each fixed link's
 phasor by its cluster phase, one ``exp`` per link, and forms a "random" link's
-ramp from its drawn direction; ``add_links`` writes the channel tensor from the
-means and the grids, drawn as ``r * z`` and correlated once per user.  These are
-the only functions that build a channel; a single link is a one-row ``link_table``.
+ramp from its drawn direction.  The realization kernel (``scenario._realize_chunk``)
+adds the means to the grids, drawn as ``r * z`` and correlated once per user; a
+single link is a one-row ``link_table``.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import reduce
 from typing import Union
 
 import numpy as np
@@ -232,26 +231,3 @@ def link_means(table: LinkTable, phases, directions=(), out=None) -> np.ndarray:
         np.multiply(table.phasor[link].real, np.exp(mean, out=mean), out=mean)
     return out
 
-
-def add_links(h: np.ndarray, users, p: np.ndarray, grids, acc: np.ndarray, correlate):
-    """Write the channel tensor h (..., t_max, f_max, N, K) user by user: the column
-    of user j at every RB is ``L(sum_l r_l z_l) + sum_l p_l`` over its links in order.
-    Link l is user ``users[l]``'s (a user's links are consecutive), p (..., L, N) holds
-    the means and ``grids`` yields the uncorrelated grids r * z (..., N, t_max, f_max)
-    in order, summed in ``acc`` of their shape, so that a user may span several draws.
-    The RB correlation is linear and shared by every link, so ``correlate(sum, out)``
-    runs once per user, into acc or, when acc holds the sum, the user's last grid."""
-    first = 0
-    for link, (j, grid) in enumerate(zip(users, grids, strict=True)):
-        total, free = grid, acc
-        if link > first:
-            total, free = np.add(acc, grid, out=acc), grid
-        if link + 1 < len(users) and users[link + 1] == j:  # more links of user j follow
-            if link == first:
-                np.copyto(acc, grid)
-            continue
-        grid = correlate(total, free)
-        mean = reduce(np.add, (p[..., i, :] for i in range(first, link + 1)))
-        grid = grid.transpose(*range(grid.ndim - 3), -2, -1, -3)  # (..., t_max, f_max, N)
-        np.add(grid, mean[..., None, None, :], out=h[..., j])
-        first = link + 1

@@ -25,7 +25,7 @@ import numpy as np
 from . import analytics
 from .errors import ConfigError, NumericalError
 from .model import (RANDOM_DIRECTION, ArrayGeometry, ClusterSpec, LinkTable, ResourceGrid,
-                    TWO_PI, UserSpec, add_links, is_int, link_means, link_table)
+                    TWO_PI, UserSpec, is_int, link_means, link_table)
 from .stochastic import (CorrelationSpec, complex_normals, correlate, philox_keys, rekey,
                          seed_pool)
 
@@ -329,7 +329,8 @@ class _Workspace:
     r**2 to ``uniforms`` (as ``spare``); a block of one link of one realization needs
     no gather, and its Gaussians go to ``normals``.  A user's sum of grids goes to
     ``acc`` and its correlation to whichever of ``acc`` and the grid's buffer does not
-    hold the sum; ``h`` is the channel tensor of a run that keeps none."""
+    hold the sum; ``h`` is the channel tensor of a run that keeps none.  Only
+    ``_realize_chunk`` reads and writes them."""
 
     def __init__(self, config: ScenarioConfig, links: LinkTable, size: int, keep: bool):
         n, t, f = config.geometry.n_antennas, config.grid.t_max, config.grid.f_max
@@ -360,12 +361,14 @@ def _realize_chunk(config: ScenarioConfig, links: LinkTable, pool: np.ndarray, w
     afterwards per (user, cluster) the link grid, a u1 block followed by a u2 block.
     The generator is re-keyed to m's stream and draws its first link block into m's
     row after its spatial block; at C > 1 that block holds all links, at C = 1 the
-    later links are drawn block by block as ``add_links`` takes their grids.  The
-    statistics take the (C, t_max, f_max, N, K) channel tensor in RB blocks (see
-    DRAW_BLOCK_UNIFORMS) t-major; one ``gram`` per block feeds every user statistic,
-    and the power and correlation rows are summed RB by RB into each realization's
-    mean.  A block whose Gram matrices are not finite (an overflowed channel power)
-    gets NaN eigenvalues, unsolved.
+    later links are drawn block by block, each once the block before is summed.  A
+    user's grids are summed in link order and correlated once, at its last link, and
+    its means, summed in link order, are added to every RB.  The statistics take the
+    (C, t_max, f_max, N, K) channel tensor in RB blocks (see DRAW_BLOCK_UNIFORMS)
+    t-major; one ``gram`` per block feeds every user statistic, and the power and
+    correlation rows are summed RB by RB into each realization's mean.  A block
+    whose Gram matrices are not finite (an overflowed channel power) gets NaN
+    eigenvalues, unsolved.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         c, step, k, n_links = len(indices), ws.normals.shape[1], config.n_users, len(links.user)
@@ -378,21 +381,32 @@ def _realize_chunk(config: ScenarioConfig, links: LinkTable, pool: np.ndarray, w
         at = slice(indices.start, indices.stop)
         h = kept["channels"][at] if "channels" in kept else ws.h[:c]
 
-        def grids():  # each link's grid r * z (C, N, t_max, f_max), one block at a time
-            for block in (slice(a, min(a + step, n_links)) for a in range(0, n_links, step)):
-                width = block.stop - block.start
-                u = ws.uniforms[:c, :width]
-                if block.start > 0:  # C = 1: the realization's stream goes on block by block
-                    ws.rng.random(out=u)
-                if c * width == 1:  # one link of one realization: u1 and u2 are contiguous
-                    z = complex_normals(u[:, :, 0], u[:, :, 1], ws.variance[block],
-                                        out=ws.normals[:c, :width])
-                else:  # every link's u1 and u2 gathered into two contiguous blocks
-                    split = ws.flat[:u.size].reshape((2, c, width) + u.shape[3:])
-                    np.copyto(split, u.transpose(2, 0, 1, 3, 4, 5))
-                    z = complex_normals(*split, ws.variance[block], out=ws.spare[:c, :width])
-                yield from z.swapaxes(0, 1)
-        add_links(h, links.user, p, grids(), ws.acc[:c], partial(correlate, config.correlation))
+        acc, first = ws.acc[:c], 0  # first: the first link of the user acc sums
+        for a in range(0, n_links, step):  # each block of links' grids r * z (C, N, t, f)
+            width = min(step, n_links - a)
+            u = ws.uniforms[:c, :width]
+            if a > 0:  # C = 1: the realization's stream goes on block by block
+                ws.rng.random(out=u)
+            if c * width == 1:  # one link of one realization: u1 and u2 are contiguous
+                z = complex_normals(u[:, :, 0], u[:, :, 1], ws.variance[a:a + width],
+                                    out=ws.normals[:c, :width])
+            else:  # every link's u1 and u2 gathered into two contiguous blocks
+                split = ws.flat[:u.size].reshape((2, c, width) + u.shape[3:])
+                np.copyto(split, u.transpose(2, 0, 1, 3, 4, 5))
+                z = complex_normals(*split, ws.variance[a:a + width], out=ws.spare[:c, :width])
+            for link in range(a, a + width):  # user j's column: L(sum r z) + sum p, in order
+                grid, j = z[:, link - a], links.user[link]
+                total, free = (grid, acc) if link == first else (np.add(acc, grid, out=acc), grid)
+                if link + 1 < n_links and links.user[link + 1] == j:  # more links of j follow
+                    if link == first:  # the sum starts in acc: a later draw reuses z
+                        np.copyto(acc, grid)
+                    continue
+                # the correlation is linear and shared by every link: once per user, into
+                # whichever of acc and the grid's buffer does not hold the sum
+                total = correlate(config.correlation, total, free)
+                mean = sum((p[:, i] for i in range(first + 1, link + 1)), p[:, first])
+                np.add(total.transpose(0, 2, 3, 1), mean[:, None, None, :], out=h[..., j])
+                first = link + 1
 
         # the (C, RBs, N, K) tensor t-major in blocks of one time row or part of one, whose
         # entries and Gram matrices each fit DRAW_BLOCK_UNIFORMS: the statistics stay O(block)

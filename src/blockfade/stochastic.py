@@ -240,9 +240,8 @@ def build_covariance(spec: CorrelationSpec) -> np.ndarray:
     n = spec.length
     if spec.rho is not None:
         lags = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-        with np.errstate(all="ignore"):
-            sigma = np.where(lags == 0, 1.0, float(spec.rho) ** lags)
-        return sigma
+        with np.errstate(all="ignore"):  # rho ** 0 is 1.0 for every rho, 0 included
+            return float(spec.rho) ** lags
     return np.array(spec.matrix, dtype=float)
 
 

@@ -1,15 +1,13 @@
 """Tests for the deterministic spatial structure (geometry, clusters, pairs)
 and for adding links into the channel tensor."""
 
-from functools import partial
-
 import numpy as np
 import pytest
 
-from blockfade import (ArrayGeometry, ClusterSpec, CorrelationSpec, ResourceGrid, UserSpec,
-                       substream)
-from blockfade.model import add_links, link_means, link_table, phase_ramps
-from blockfade.stochastic import correlate, sample_link_grids
+from blockfade import (ArrayGeometry, ClusterSpec, CorrelationSpec, ResourceGrid,
+                       ScenarioConfig, UserSpec, run_scenario, substream)
+from blockfade.model import link_means, link_table, phase_ramps
+from blockfade.stochastic import sample_link_grids
 
 QUARTER = ArrayGeometry(n_antennas=4, spacing_ratio=0.25)
 
@@ -214,61 +212,68 @@ GEO = ArrayGeometry(n_antennas=4, spacing_ratio=0.25)
 GRID = ResourceGrid(t_max=2, f_max=3)
 
 
-def _pairs_and_grids(spreads, directions, rng, betas=None, geometry=GEO, grid=GRID):
-    """(L, N) means p and (L, N, t_max, f_max) grids r * q of one user's clusters."""
+def _user(spreads, directions, betas=None):
     betas = betas or [1.0] * len(spreads)
-    user = UserSpec(clusters=tuple(ClusterSpec(direction=d, spread_fraction=s, mean_power=b)
+    return UserSpec(clusters=tuple(ClusterSpec(direction=d, spread_fraction=s, mean_power=b)
                                    for s, d, b in zip(spreads, directions, betas)))
+
+
+def _channels(user, seed, geometry=GEO, grid=GRID, realizations=1):
+    """(R, t_max, f_max, N) channels of one user, from the realization kernel."""
+    config = ScenarioConfig(seed=seed, geometry=geometry, users=(user,), grid=grid,
+                            realizations=realizations, outputs=("raw-channel",))
+    return run_scenario(config).artifacts["raw-channel"][..., 0]
+
+
+def _spatial(user, seed, index=0, geometry=GEO):
+    """The link table of ``user``, realization ``index``'s means (L, N) and its stream
+    after the spatial draw: directions pi * u and phases 2*pi * u, as the kernel."""
     table = link_table((user,), geometry)
-    q = np.concatenate([sample_link_grids(CorrelationSpec.none(), grid, geometry.n_antennas,
-                                          1, rng, variance=r ** 2) for r in table.r])
-    return link_means(table, [0.0] * len(spreads)), q
-
-
-def _assemble(p, q):
-    """(t_max, f_max, N, 1) channel tensor of links that all belong to user 0."""
-    h = np.empty(q.shape[2:] + (q.shape[1], 1), dtype=complex)
-    add_links(h, [0] * len(p), p, q, np.empty(q.shape[1:], dtype=complex),
-              partial(correlate, CorrelationSpec.none()))
-    return h
+    rng = substream(seed, index)
+    u = rng.random(len(table.phase_at) + len(table.direction_at))
+    return table, link_means(table, 2 * np.pi * u[table.phase_at],
+                             np.pi * u[table.direction_at]), rng
 
 
 class TestAddLinks:
+    """Adding a user's links into the channel tensor: the column of every RB is the
+    sum of its grids r * z plus the sum of its means, as the kernel builds it."""
+
     def test_deterministic_limit_constant_over_blocks(self):
-        rng = substream(1, 0)
-        p, q = _pairs_and_grids([0.0, 0.0], [0.3, 1.1], rng, betas=[0.6, 0.4])
+        user = _user([0.0, 0.0], [0.3, 1.1], betas=[0.6, 0.4])
+        _, p, _ = _spatial(user, 1)
         expected = p[0] + p[1]
-        h = _assemble(p, q)
+        h = _channels(user, 1)[0]
         for t in (1, 2):
             for f in (1, 2, 3):
-                assert np.array_equal(h[t - 1, f - 1][:, 0], expected)
+                assert np.array_equal(h[t - 1, f - 1], expected)
 
     def test_single_unit_cluster_reduces_to_grid(self):
-        rng = substream(1, 1)
-        p, q = _pairs_and_grids([1.0], [0.5], rng)
-        h = _assemble(p, q)[2 - 1, 3 - 1]
-        assert np.array_equal(h[:, 0], q[0][:, 1, 2])
+        user = _user([1.0], [0.5])
+        table, _, rng = _spatial(user, 1)
+        q = sample_link_grids(CorrelationSpec.none(), GRID, GEO.n_antennas, 1, rng,
+                              variance=table.r ** 2)
+        h = _channels(user, 1)[0][2 - 1, 3 - 1]
+        assert np.array_equal(h, q[0][:, 1, 2])
 
     def test_block_fading_varies_only_across_rb_indices(self):
-        rng = substream(1, 2)
-        p, q = _pairs_and_grids([0.5], [0.7], rng)
-        again = _assemble(p, q)[0, 0]
-        first = _assemble(p, q)[0, 0]
-        other = _assemble(p, q)[0, 1]
+        user = _user([0.5], [0.7])
+        again = _channels(user, 2)[0][0, 0]
+        first = _channels(user, 2)[0][0, 0]
+        other = _channels(user, 2)[0][0, 1]
         assert np.array_equal(first, again)
         assert not np.array_equal(first, other)
 
     def test_small_spread_moments(self):
-        # 10^4 realizations of a single-antenna link: mean -> p, std -> r
+        # 10^4 realizations of a single-antenna link, each turned back by its cluster
+        # phase: mean -> p, std -> r
         cluster = ClusterSpec(direction=0.8, spread_fraction=0.1)
         geometry = ArrayGeometry(n_antennas=1)
-        grid = ResourceGrid()
         p, r = spatial_pair(cluster, geometry)
-        rng = substream(2, 0)
-        samples = np.array([
-            _assemble(p[None], sample_link_grids(CorrelationSpec.none(), grid, 1, 1, rng,
-                                                 variance=r ** 2))[0, 0][0, 0]
-            for _ in range(10 ** 4)])
+        user = UserSpec(clusters=(cluster,))
+        h = _channels(user, 2, geometry=geometry, grid=ResourceGrid(), realizations=10 ** 4)
+        phases = [2 * np.pi * substream(2, m).random() for m in range(10 ** 4)]
+        samples = h[:, 0, 0, 0] * np.exp(-1j * np.array(phases))
         assert abs(samples.mean() - p[0]) <= 0.01
         std = np.sqrt(np.mean(np.abs(samples - samples.mean()) ** 2))
         assert abs(std - 0.1) <= 0.005
@@ -276,18 +281,9 @@ class TestAddLinks:
     def test_power_conservation_with_cluster_phases(self):
         # multi-cluster link: random per-realization cluster phases keep
         # E|h|^2 at the summed cluster powers
-        geometry = ArrayGeometry(n_antennas=2)
-        grid = ResourceGrid()
-        clusters = [ClusterSpec(direction=0.4, spread_fraction=0.3, mean_power=0.7),
-                    ClusterSpec(direction=0.9, spread_fraction=0.6, mean_power=0.5)]
-        table = link_table((UserSpec(clusters=tuple(clusters)),), geometry)
-        rng = substream(3, 0)
-        acc = np.zeros(2)
+        user = _user([0.3, 0.6], [0.4, 0.9], betas=[0.7, 0.5])
         m = 10 ** 4
-        for _ in range(m):
-            p = link_means(table, [rng.uniform(0, 2 * np.pi) for _ in clusters])
-            q = np.concatenate([sample_link_grids(CorrelationSpec.none(), grid, 2, 1, rng,
-                                                  variance=r ** 2) for r in table.r])
-            acc += np.abs(_assemble(p, q)[0, 0][:, 0]) ** 2
-        acc /= m
+        h = _channels(user, 3, geometry=ArrayGeometry(n_antennas=2), grid=ResourceGrid(),
+                      realizations=m)
+        acc = np.mean(np.abs(h[:, 0, 0]) ** 2, axis=0)
         assert np.abs(acc - 1.2).max() <= 0.03 * 1.2

@@ -434,7 +434,7 @@ class TestRunScenario:
         # 11 realizations in chunks of 5: each chunk draws both links of all
         # its realizations in one block and takes one Gram matrix stack per time
         # row of RBs (t_max = 2), which feeds the eigenvalues and the correlation
-        counting(scenario, "add_links")
+        counting(scenario, "complex_normals")
         for name in ("gram", "eigenvalues_hermitian", "gram_correlation"):
             counting(analytics, name)
         doc = _doc(geometry={"n_antennas": 512}, grid={"t_max": 2, "f_max": 3},
@@ -443,7 +443,7 @@ class TestRunScenario:
         config = parse_config(json.dumps(doc))
         assert _chunk_size(config) == 5
         run_scenario(config)
-        assert counting.calls == {"add_links": 3, "gram": 6,
+        assert counting.calls == {"complex_normals": 3, "gram": 6,
                                   "eigenvalues_hermitian": 6, "gram_correlation": 6}
 
     def test_chunk_bounded_by_gram_stack(self, counting):
