@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 I/O failure.
+4 I/O or memory failure.
 """
 
 from __future__ import annotations
@@ -86,6 +86,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        print(f"memory failure: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

@@ -42,11 +42,10 @@ DEFAULT_PRESET_SEED = 1000003
 # benchmark workload and README example stays far below it.
 MAX_ARRAY_ENTRIES = 2 ** 24
 
-# Uniforms per link-grid draw (512 KiB), bounding the working set: a kernel pass takes C =
-# max(1, DRAW_BLOCK_UNIFORMS // (t_max*f_max*max(2*links*N, users**2))) realizations, whose
-# uniforms and per-RB Gram matrices fit; at C = 1 it draws max(1, DRAW_BLOCK_UNIFORMS //
-# (2*N*t_max*f_max)) links at a time, and the statistics take max(1, DRAW_BLOCK_UNIFORMS //
-# (C*max(N, users)*users)) RBs of a time row at a time.  Only the config sets them.
+# Bytes of all workers' workspaces (1 GiB): a large workspace runs on fewer workers.
+WORKSPACE_BUDGET = 4 * 16 * MAX_ARRAY_ENTRIES
+
+# Uniforms per link-grid draw (512 KiB), bounding the working set; `_plan` sizes by it.
 DRAW_BLOCK_UNIFORMS = 2 ** 16
 
 # Frozen validation geometry, a (principals, offsets) pair: stratified
@@ -322,6 +321,20 @@ def expand_preset(name: str, seed: int = DEFAULT_PRESET_SEED) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # orchestration
 
+def _plan(config: ScenarioConfig, links: LinkTable, keep: bool) -> tuple:
+    """The sizes the config alone fixes: C realizations per chunk, whose uniforms and per-RB
+    Gram matrices fit DRAW_BLOCK_UNIFORMS; links per draw and RBs (one or more) per statistics
+    block, which fit it too; and the bytes of a ``_Workspace(config, links, plan, keep)``."""
+    n, rbs, k, n_links = (config.geometry.n_antennas, config.grid.t_max * config.grid.f_max,
+                          config.n_users, len(links.user))
+    c = max(1, DRAW_BLOCK_UNIFORMS // (rbs * max(2 * n_links * n, k ** 2)))
+    step = min(n_links, max(1, DRAW_BLOCK_UNIFORMS // (2 * n * rbs)))
+    # float64s per realization of spatial, uniforms and normals, acc and h, means; variance
+    words = c * (len(links.phase_at) + len(links.direction_at) + 4 * step * n * rbs
+                 + 2 * n * rbs * (1 + k * (not keep)) + 2 * n_links * n) + n_links * n
+    return c, step, max(1, DRAW_BLOCK_UNIFORMS // (c * max(n, k) * k)), 8 * words
+
+
 class _Workspace:
     """One worker's Philox generator and chunk buffers for one ``run_scenario`` call; a
     chunk uses the leading rows of each.  A block of link-grid uniforms goes to
@@ -330,11 +343,11 @@ class _Workspace:
     no gather, and its Gaussians go to ``normals``.  A user's sum of grids goes to
     ``acc`` and its correlation to whichever of ``acc`` and the grid's buffer does not
     hold the sum; ``h`` is the channel tensor of a run that keeps none.  Only
-    ``_realize_chunk`` reads and writes them."""
+    ``_realize_chunk`` reads and writes them, in blocks of ``plan`` (see ``_plan``)."""
 
-    def __init__(self, config: ScenarioConfig, links: LinkTable, size: int, keep: bool):
+    def __init__(self, config: ScenarioConfig, links: LinkTable, plan: tuple, keep: bool):
         n, t, f = config.geometry.n_antennas, config.grid.t_max, config.grid.f_max
-        step = min(len(links.user), max(1, DRAW_BLOCK_UNIFORMS // (2 * n * t * f)))
+        self.plan, (size, step) = plan, plan[:2]
         self.rng = np.random.Generator(np.random.Philox(0))  # re-keyed per realization
         self.spatial = np.empty((size, len(links.phase_at) + len(links.direction_at)))
         self.uniforms = np.empty((size, step, 2, n, t, f))
@@ -349,11 +362,10 @@ class _Workspace:
 
 def _realize_chunk(config: ScenarioConfig, links: LinkTable, pool: np.ndarray, ws: _Workspace,
                    needs: set, kept: dict, indices: range) -> dict:
-    """One kernel pass over the C realizations in the range ``indices`` (see
-    DRAW_BLOCK_UNIFORMS) in the worker's workspace ``ws``; ``pool`` is
-    ``seed_pool(config.seed)``.  It writes their rows of the run-level arrays in ``kept``
-    and returns only their ``power-profile`` and ``correlation-matrix`` means, each
-    (C, ...) in realization order.
+    """One kernel pass over the C realizations in the range ``indices`` (see ``_plan``)
+    in the worker's workspace ``ws``; ``pool`` is ``seed_pool(config.seed)``.  It writes
+    their rows of the run-level arrays in ``kept`` and returns only their ``power-profile``
+    and ``correlation-matrix`` means, each (C, ...) in realization order.
 
     Draw order from substream(seed, m), the reproducibility contract: first one
     spatial block of uniforms holding, per (user, cluster) in lexicographic order,
@@ -364,14 +376,14 @@ def _realize_chunk(config: ScenarioConfig, links: LinkTable, pool: np.ndarray, w
     later links are drawn block by block, each once the block before is summed.  A
     user's grids are summed in link order and correlated once, at its last link, and
     its means, summed in link order, are added to every RB.  The statistics take the
-    (C, t_max, f_max, N, K) channel tensor in RB blocks (see DRAW_BLOCK_UNIFORMS)
+    (C, t_max, f_max, N, K) channel tensor in RB blocks (see ``_plan``)
     t-major; one ``gram`` per block feeds every user statistic, and the power and
     correlation rows are summed RB by RB into each realization's mean.  A block
     whose Gram matrices are not finite (an overflowed channel power) gets NaN
     eigenvalues, unsolved.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        c, step, k, n_links = len(indices), ws.normals.shape[1], config.n_users, len(links.user)
+        c, (_, step, span, _), n_links = len(indices), ws.plan, len(links.user)
         for i, key in enumerate(philox_keys(pool, indices).tolist()):
             rekey(ws.rng, key).random(out=ws.spatial[i])
             ws.rng.random(out=ws.uniforms[i])  # the first link block, `step` links
@@ -411,11 +423,10 @@ def _realize_chunk(config: ScenarioConfig, links: LinkTable, pool: np.ndarray, w
         # the (C, RBs, N, K) tensor t-major in blocks of one time row or part of one, whose
         # entries and Gram matrices each fit DRAW_BLOCK_UNIFORMS: the statistics stay O(block)
         rbs, f_max = h.reshape((c, -1) + h.shape[-2:]), h.shape[2]
-        width = max(1, DRAW_BLOCK_UNIFORMS // (c * max(h.shape[-2], k) * k))
-        iu = np.triu_indices(k, 1)
+        iu = np.triu_indices(config.n_users, 1)
         power = xcorr = 0  # each realization's sums over its RBs, RB by RB as ordered_mean
-        for rows in (slice(a, min(a + width, t + f_max)) for t in range(0, rbs.shape[1], f_max)
-                     for a in range(t, t + f_max, width)):
+        for rows in (slice(a, min(a + span, t + f_max)) for t in range(0, rbs.shape[1], f_max)
+                     for a in range(t, t + f_max, span)):
             if "power-profile" in needs:
                 power = sum((np.abs(rbs[:, rows]) ** 2).swapaxes(0, 1), power)
             if needs & {"cross-correlation", "eigencdf", "correlation-matrix"}:
@@ -462,16 +473,16 @@ def run_scenario(config: ScenarioConfig, out_dir=None, threads: int = 1) -> Repo
     for name, width in (("eigencdf", k), ("cross-correlation", k * (k - 1) // 2)):
         if name in needs:
             kept[name] = np.empty((r, t * f, width))
-    size = max(1, DRAW_BLOCK_UNIFORMS // (t * f * max(2 * len(links.user) * n, k ** 2)))
-    chunks = [range(r)[a:a + size] for a in range(0, r, size)]
+    plan = _plan(config, links, keep="channels" in kept)
+    chunks = [range(r)[a:a + plan[0]] for a in range(0, r, plan[0])]
     pool, local = seed_pool(config.seed), threading.local()  # both freed when the run returns
 
     def realize(chunk):
         if not hasattr(local, "workspace"):  # one workspace per worker thread
-            local.workspace = _Workspace(config, links, size, keep="channels" in kept)
+            local.workspace = _Workspace(config, links, plan, keep="channels" in kept)
         return _realize_chunk(config, links, pool, local.workspace, needs, kept, chunk)
 
-    workers = min(threads, len(chunks))
+    workers = min(threads, len(chunks), max(1, WORKSPACE_BUDGET // plan[3]))
     sums = {}  # the chunks' means, summed in realization order on arrival as ordered_mean
     # an overflowing channel power only becomes a non-finite artifact here
     with np.errstate(over="ignore", invalid="ignore"), \

@@ -545,6 +545,18 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("i/o failure:")
 
+    def test_memory_failure_exits_4(self, capsys, monkeypatch):
+        # a failed allocation in a worker ends in one error line, not a traceback
+        from blockfade import scenario
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 256. MiB for an array")
+        monkeypatch.setattr(scenario, "_Workspace", no_memory)
+        assert main(["preset", "paper-D", "--threads", "2"]) == 4
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["memory failure: Unable to allocate 256. MiB for an array"]
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("option, value", [
         ("--seed", "-1"), ("--seed", str(2 ** 64)), ("--threads", "0")])
     def test_bad_cli_values_exit_2(self, option, value, capsys):

@@ -15,7 +15,8 @@ from blockfade import (ArrayGeometry, ClusterSpec, ConfigError, CorrelationSpec,
                        parse_config, run_scenario, substream)
 from blockfade.model import link_means, link_table
 from blockfade.scenario import (ARTIFACT_NAMES, DRAW_BLOCK_UNIFORMS, MAX_ARRAY_ENTRIES,
-                                PRESET_NAMES, _require_finite, config_to_dict)
+                                PRESET_NAMES, _Workspace, _plan, _require_finite,
+                                config_to_dict)
 from blockfade.stochastic import correlate, sample_link_grids
 
 MINIMAL = {
@@ -512,6 +513,27 @@ class TestRunScenario:
         run_scenario(replace(config, realizations=4), threads=10 ** 6)
         assert workers == [3, 2, 1]
 
+    def test_worker_count_capped_by_workspace_budget(self, monkeypatch, tmp_path):
+        from blockfade import scenario
+        real_pool = scenario.ThreadPoolExecutor
+        workers = []
+
+        def recording_pool(max_workers):
+            workers.append(max_workers)
+            return real_pool(max_workers=max_workers)
+        # 4 chunks of 4 realizations and a budget of 2.5 workspaces: 2 of the 4 workers
+        # asked for start, and the artifacts are those of one thread
+        config = self._config(realizations=16, geometry={"n_antennas": 8192},
+                              outputs=["histogram", "eigencdf", "power-profile"])
+        assert _chunk_size(config) == 4
+        one = run_scenario(config, out_dir=tmp_path / "one").manifest
+        links = link_table(config.users, config.geometry)
+        budget = 5 * _plan(config, links, keep=True)[3] // 2
+        monkeypatch.setattr(scenario, "WORKSPACE_BUDGET", budget)
+        monkeypatch.setattr(scenario, "ThreadPoolExecutor", recording_pool)
+        assert run_scenario(config, out_dir=tmp_path / "four", threads=4).manifest == one
+        assert workers == [2]
+
     def test_determinism_shift_of_cross_correlation(self):
         # tight-spread random-direction pairs put mass above 0.4 yet push
         # the bulk of |g_nd| below the fully random case
@@ -581,6 +603,13 @@ def _chunk_size(config) -> int:
     grid, links = config.grid, sum(len(u.clusters) for u in config.users)
     per_rb = max(2 * links * config.geometry.n_antennas, config.n_users ** 2)
     return max(1, DRAW_BLOCK_UNIFORMS // (per_rb * grid.t_max * grid.f_max))
+
+
+def _rbs_per_block(config) -> int:
+    """RBs of a time row per statistics block: a chunk's channels and K x K Gram matrices
+    of the block fit one draw, or the block is one RB."""
+    n, k = config.geometry.n_antennas, config.n_users
+    return max(1, DRAW_BLOCK_UNIFORMS // (_chunk_size(config) * max(n, k) * k))
 
 
 class TestRealizationKernel:
@@ -852,3 +881,57 @@ class TestWorkspace:
             tracemalloc.stop()
         assert len(peaks) == 3
         assert max(peaks) < 128 * 14 * 12 * 16
+
+
+def _plan_config(name):
+    """A preset, a shape of ``_workspace_configs`` or "k-above-n": 64 single-cluster
+    users at N = 1 on one 1024-RB time row."""
+    if name in PRESET_NAMES:
+        return expand_preset(name)
+    if name != "k-above-n":
+        return _workspace_configs()[name]
+    doc = _doc(geometry={"n_antennas": 1}, grid={"t_max": 1, "f_max": 1024},
+               outputs=["eigencdf", "correlation-matrix"])
+    doc["users"] = [{"clusters": [{"direction": 3.1 * j / 64, "spread_fraction": 0.5}]}
+                    for j in range(64)]
+    return parse_config(json.dumps(doc))
+
+
+class TestPlan:
+    """``_plan`` states the kernel's sizes once; the oracles above restate them apart."""
+
+    CASES = PRESET_NAMES + ("none", "time", "frequency", "k-above-n")
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_sizes_match_the_oracles(self, name):
+        config = _plan_config(name)
+        links = link_table(config.users, config.geometry)
+        assert _plan(config, links, keep=False)[:3] == (_chunk_size(config), min(
+            len(links.user), _links_per_draw(config)), _rbs_per_block(config))
+
+    @pytest.mark.parametrize("keep", [True, False], ids=["kept", "in-workspace"])
+    @pytest.mark.parametrize("name", CASES)
+    def test_workspace_bytes_are_its_buffers(self, name, keep):
+        config = _plan_config(name)
+        links = link_table(config.users, config.geometry)
+        plan = _plan(config, links, keep)
+        workspace = _Workspace(config, links, plan, keep)
+        buffers = [a for a in vars(workspace).values()
+                   if isinstance(a, np.ndarray) and a.base is None]
+        assert plan[3] == sum(a.nbytes for a in buffers)
+
+    def test_a_short_last_chunk_runs_on_the_plan(self, monkeypatch):
+        # 29 realizations of 5 links in chunks of 12: the last chunk, of 5 realizations,
+        # draws and takes its statistics blocks in the plan's sizes, those of a chunk of 12
+        from blockfade import scenario
+        config = replace(_workspace_configs()["none"], outputs=("eigencdf",))
+        seen = []
+
+        def recording(config, links, pool, ws, needs, kept, indices):
+            seen.append((len(indices), ws.plan[:3]))
+            return real(config, links, pool, ws, needs, kept, indices)
+        real = scenario._realize_chunk
+        monkeypatch.setattr(scenario, "_realize_chunk", recording)
+        run_scenario(config)
+        sizes = (_chunk_size(config), 5, _rbs_per_block(config))
+        assert seen == [(12, sizes), (12, sizes), (5, sizes)]
