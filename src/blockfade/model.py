@@ -12,10 +12,10 @@ numerics trust a constructed spec.  Direction and spread are fixed for a
 scenario, so ``link_table`` computes every link's Rician part and phasor
 ``|p| exp(1j * ramp)`` once, as scenario constants.  Per realization, or per
 chunk of them along a leading axis, ``link_means`` turns each fixed link's
-phasor by its cluster phase, one ``exp`` per link, and forms a "random" link's
-ramp from its drawn direction.  The realization kernel (``scenario._realize_chunk``)
-adds the means to the grids, drawn as ``r * z`` and correlated once per user; a
-single link is a one-row ``link_table``.
+phasor by its cluster phase and forms all "random" links' ramps from their
+drawn directions together, not one link at a time.  The realization kernel
+(``scenario._realize_chunk``) adds the means to the grids, drawn as ``r * z``
+and correlated once per user; a single link is a one-row ``link_table``.
 """
 
 from __future__ import annotations
@@ -158,16 +158,15 @@ class ResourceGrid:
             object.__setattr__(self, name, int(v))
 
 
-def phase_ramps(theta, geometry: ArrayGeometry, out=None) -> np.ndarray:
-    """(..., N) antenna phases of clusters at the directions theta (...), into ``out``
-    if given.
+def phase_ramps(theta, geometry: ArrayGeometry) -> np.ndarray:
+    """(..., N) antenna phases of clusters at the directions theta (...).
 
     The phase at antenna i (1-based) is
     ``(2*pi * spacing_ratio * cos(theta) * (i - 1)) mod 2*pi``;
     at quarter-wavelength spacing the slope is (pi/2)*cos(theta).
     """
     slope = TWO_PI * geometry.spacing_ratio * np.cos(np.asarray(theta, dtype=float))
-    ramp = np.multiply(slope[..., None], np.arange(geometry.n_antennas), out=out)
+    ramp = slope[..., None] * np.arange(geometry.n_antennas)
     return np.mod(ramp, TWO_PI, out=ramp)
 
 
@@ -213,21 +212,17 @@ def link_table(users, geometry: ArrayGeometry) -> LinkTable:
 
 def link_means(table: LinkTable, phases, directions=(), out=None) -> np.ndarray:
     """(..., L, N) spatial means ``p = |p| exp(1j * (ramp + phase))`` of every link,
-    into ``out`` if given: a fixed link's phasor turned by ``exp(1j * phase)``, a
-    random link's ramp formed from its direction, one link at a time.
+    into ``out`` if given: a fixed link's phasor turned by ``exp(1j * phase)``, and
+    all random links' ramps formed together from their directions.
 
     ``phases`` (..., L) holds each link's common phase offset, ``directions``
     (..., R) the directions of the table's random links in their order.
     """
-    phases = np.asarray(phases, dtype=float)
+    phases, random = np.asarray(phases, dtype=float), table.random_links
+    if np.shape(directions)[-1:] != random.shape:  # a count of 1 would broadcast
+        raise ValueError(f"directions {np.shape(directions)}: need {len(random)} per realization")
     out = np.multiply(table.phasor, np.exp(1j * phases)[..., None], out=out)
-    for theta, link in zip(np.moveaxis(np.asarray(directions, dtype=float), -1, 0),
-                           table.random_links, strict=True):
-        mean = out[..., link, :]
-        angle = mean.imag  # ramp + phase: mean is then 1j * (ramp + phase), bit for bit
-        phase_ramps(theta, table.geometry, out=angle)
-        angle += phases[..., link, None]
-        mean.real = 0.0
-        np.multiply(table.phasor[link].real, np.exp(mean, out=mean), out=mean)
+    mean = 1j * (phase_ramps(directions, table.geometry) + phases[..., random, None])
+    out[..., random, :] = np.multiply(table.phasor[random].real, np.exp(mean, out=mean), out=mean)
     return out
 

@@ -42,8 +42,10 @@ DEFAULT_PRESET_SEED = 1000003
 # benchmark workload and README example stays far below it.
 MAX_ARRAY_ENTRIES = 2 ** 24
 
-# Bytes of all workers' workspaces (1 GiB): a large workspace runs on fewer workers.
+# Bytes of all workers' workspaces (1 GiB), so a large workspace runs on fewer workers, and
+# the most workers a run starts whatever --threads asks; no output depends on their number.
 WORKSPACE_BUDGET = 4 * 16 * MAX_ARRAY_ENTRIES
+MAX_WORKERS = 64
 
 # Uniforms per link-grid draw (512 KiB), bounding the working set; `_plan` sizes by it.
 DRAW_BLOCK_UNIFORMS = 2 ** 16
@@ -482,7 +484,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None, threads: int = 1) -> Repo
             local.workspace = _Workspace(config, links, plan, keep="channels" in kept)
         return _realize_chunk(config, links, pool, local.workspace, needs, kept, chunk)
 
-    workers = min(threads, len(chunks), max(1, WORKSPACE_BUDGET // plan[3]))
+    workers = min(threads, len(chunks), MAX_WORKERS, max(1, WORKSPACE_BUDGET // plan[3]))
     sums = {}  # the chunks' means, summed in realization order on arrival as ordered_mean
     # an overflowing channel power only becomes a non-finite artifact here
     with np.errstate(over="ignore", invalid="ignore"), \

@@ -168,6 +168,32 @@ class TestLinkMeans:
                 assert (p[:, link] == 0).all()  # zero amplitude: exactly 0
         assert np.isfinite(p).all()
 
+    def test_random_links_bit_for_bit(self):
+        # the random links' means, formed in one pass, hold the bits of each link's
+        # own ramp plus phase, through exp(1j * ...), times |p|
+        table = self._table()
+        clusters = [c for user in self.USERS for c in user]
+        rng = np.random.default_rng(9)
+        phases = rng.uniform(0.0, 2 * np.pi, (4, len(clusters)))
+        directions = rng.uniform(0.0, np.pi, (4, 3))
+        p = link_means(table, phases, directions)
+        links = [link for link, (d, _, _) in enumerate(clusters) if d == "random"]
+        assert len(links) == 3
+        for theta, link in zip(directions.T, links):
+            _, s, b = clusters[link]
+            beta = np.broadcast_to(np.asarray(b, dtype=float), 5)
+            amp = np.sqrt(np.maximum(beta - (s * np.sqrt(beta)) ** 2, 0.0))
+            want = amp * np.exp(1j * (phase_ramps(theta, self.GEOMETRY) + phases[:, link, None]))
+            assert np.array_equal(p[:, link].view(np.uint64), want.view(np.uint64)), link
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 4])
+    def test_direction_count_must_match(self, count):
+        # one direction per random link: a count of 1 would otherwise broadcast
+        with pytest.raises(ValueError, match="directions"):
+            link_means(self._table(), np.zeros((2, 6)), np.ones((2, count)))
+        with pytest.raises(ValueError, match="directions"):
+            link_means(self._table(), np.zeros(6), np.ones(count))
+
     def test_phasor_is_read_only(self):
         table = self._table()
         with pytest.raises(ValueError):

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
@@ -10,6 +13,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import blockfade
 from blockfade import (ArrayGeometry, ClusterSpec, ConfigError, CorrelationSpec, NumericalError,
                        ResourceGrid, ScenarioConfig, UserSpec, expand_preset,
                        parse_config, run_scenario, substream)
@@ -534,6 +538,55 @@ class TestRunScenario:
         assert run_scenario(config, out_dir=tmp_path / "four", threads=4).manifest == one
         assert workers == [2]
 
+    def test_worker_count_capped_at_ceiling(self, monkeypatch, tmp_path):
+        from blockfade import scenario
+        workers = []
+
+        class SerialPool:  # records the workers asked for and maps in the calling thread
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+        # 3 chunks of 4, 4 and 2 realizations and a ceiling of 2: however many threads
+        # are asked for, 2 workers are, and the artifacts are those of one thread
+        config = self._config(realizations=10, geometry={"n_antennas": 8192},
+                              outputs=["histogram", "power-profile"])
+        assert _chunk_size(config) == 4
+        one = run_scenario(config, out_dir=tmp_path / "one").manifest
+        monkeypatch.setattr(scenario, "MAX_WORKERS", 2)
+        monkeypatch.setattr(scenario, "ThreadPoolExecutor", SerialPool)
+        assert run_scenario(config, out_dir=tmp_path / "many", threads=10 ** 6).manifest == one
+        assert workers == [2]
+
+    def test_workspace_cap_holds_under_an_address_space_limit(self, tmp_path):
+        resource = pytest.importorskip("resource")
+        if not (hasattr(resource, "RLIMIT_AS") and os.path.exists("/proc/self/status")):
+            pytest.skip("no RLIMIT_AS or no /proc/self/status to size it by")
+        # 4 chunks of one realization, whose workspace is 64 MiB: the limit leaves room for
+        # one workspace and one thread's stack, not for the 4 workers --threads 4 asks for
+        doc = _doc(geometry={"n_antennas": 1024}, realizations=4,
+                   grid={"t_max": 32, "f_max": 32}, outputs=["power-profile"])
+        config = parse_config(json.dumps(doc))
+        assert _chunk_size(config) == 1
+        assert _plan(config, link_table(config.users, config.geometry), keep=False)[3] > 2 ** 25
+        (tmp_path / "doc.json").write_text(json.dumps(doc))
+        src = os.path.dirname(os.path.dirname(blockfade.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        child = subprocess.run([sys.executable, "-c", _ADDRESS_SPACE_CHILD] + [
+            str(tmp_path / name) for name in ("doc.json", "one", "four")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert child.returncode == 0, child.stderr
+        assert ((tmp_path / "four" / "manifest.csv").read_bytes()
+                == (tmp_path / "one" / "manifest.csv").read_bytes())
+
     def test_determinism_shift_of_cross_correlation(self):
         # tight-spread random-direction pairs put mass above 0.4 yet push
         # the bulk of |g_nd| below the fully random case
@@ -548,6 +601,29 @@ class TestRunScenario:
         mags_iid = iid.artifacts["cross-correlation"]["magnitudes"]
         assert np.mean(mags_tight > 0.4) > 0.0
         assert np.median(mags_tight) < np.median(mags_iid)
+
+
+# A warm-up run of the document at one thread without a limit, then the same document at
+# --threads 4 on a budget of 1.5 workspaces, its address space limited to the VmSize the
+# warm-up left plus one workspace and one thread's stack.
+_ADDRESS_SPACE_CHILD = """
+import resource, sys
+from blockfade import cli, scenario
+from blockfade.model import link_table
+
+doc, one, four = sys.argv[1:]
+assert cli.main(["simulate", doc, "--out", one]) == 0
+config = scenario.parse_config(open(doc).read())
+workspace = scenario._plan(config, link_table(config.users, config.geometry), keep=False)[3]
+with open("/proc/self/status") as fh:
+    vm = next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmSize:"))
+stack = resource.getrlimit(resource.RLIMIT_STACK)[0]
+stack = 8 * 2 ** 20 if stack == resource.RLIM_INFINITY else stack
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (vm + workspace + stack, hard))
+scenario.WORKSPACE_BUDGET = 3 * workspace // 2
+sys.exit(cli.main(["simulate", doc, "--out", four, "--threads", "4"]))
+"""
 
 
 def _reference_channels(config, per_link=False) -> np.ndarray:
