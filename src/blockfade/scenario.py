@@ -339,13 +339,12 @@ def _plan(config: ScenarioConfig, links: LinkTable, keep: bool) -> tuple:
 
 class _Workspace:
     """One worker's Philox generator and chunk buffers for one ``run_scenario`` call; a
-    chunk uses the leading rows of each.  A block of link-grid uniforms goes to
-    ``uniforms``, gathered to ``normals`` (as ``flat``) and its Gaussians of variance
-    r**2 to ``uniforms`` (as ``spare``); a block of one link of one realization needs
-    no gather, and its Gaussians go to ``normals``.  A user's sum of grids goes to
-    ``acc`` and its correlation to whichever of ``acc`` and the grid's buffer does not
-    hold the sum; ``h`` is the channel tensor of a run that keeps none.  Only
-    ``_realize_chunk`` reads and writes them, in blocks of ``plan`` (see ``_plan``)."""
+    chunk uses the leading rows of each.  Link-grid uniforms go to ``uniforms``, gathered to
+    ``normals`` (as ``flat``, then their quarter turns), Gaussians of variance r**2 to
+    ``uniforms`` (as ``spare``); one link of one realization skips the gather: its turns
+    replace its uniforms, its Gaussians go to ``normals``.  A user's grid sum goes to ``acc``,
+    its correlation to whichever of ``acc`` and the grid's buffer does not hold the sum; ``h``
+    is the channel tensor of a run that keeps none.  Only ``_realize_chunk`` uses them."""
 
     def __init__(self, config: ScenarioConfig, links: LinkTable, plan: tuple, keep: bool):
         n, t, f = config.geometry.n_antennas, config.grid.t_max, config.grid.f_max
@@ -402,12 +401,12 @@ def _realize_chunk(config: ScenarioConfig, links: LinkTable, pool: np.ndarray, w
             if a > 0:  # C = 1: the realization's stream goes on block by block
                 ws.rng.random(out=u)
             if c * width == 1:  # one link of one realization: u1 and u2 are contiguous
-                z = complex_normals(u[:, :, 0], u[:, :, 1], ws.variance[a:a + width],
+                z = complex_normals(u.reshape((2, 1, 1) + u.shape[3:]), ws.variance[a:a + width],
                                     out=ws.normals[:c, :width])
             else:  # every link's u1 and u2 gathered into two contiguous blocks
                 split = ws.flat[:u.size].reshape((2, c, width) + u.shape[3:])
                 np.copyto(split, u.transpose(2, 0, 1, 3, 4, 5))
-                z = complex_normals(*split, ws.variance[a:a + width], out=ws.spare[:c, :width])
+                z = complex_normals(split, ws.variance[a:a + width], out=ws.spare[:c, :width])
             for link in range(a, a + width):  # user j's column: L(sum r z) + sum p, in order
                 grid, j = z[:, link - a], links.user[link]
                 total, free = (grid, acc) if link == first else (np.add(acc, grid, out=acc), grid)
@@ -487,9 +486,12 @@ def run_scenario(config: ScenarioConfig, out_dir=None, threads: int = 1) -> Repo
     workers = min(threads, len(chunks), MAX_WORKERS, max(1, WORKSPACE_BUDGET // plan[3]))
     sums = {}  # the chunks' means, summed in realization order on arrival as ordered_mean
     # an overflowing channel power only becomes a non-finite artifact here
-    with np.errstate(over="ignore", invalid="ignore"), \
-            ThreadPoolExecutor(max_workers=workers) as executor:  # one worker: no thread
-        for means in map(realize, chunks) if workers == 1 else executor.map(realize, chunks):
+    with np.errstate(over="ignore", invalid="ignore"), ThreadPoolExecutor(workers) as executor:
+        try:  # submitting the chunks starts the threads, and one worker starts none
+            results = map(realize, chunks) if workers == 1 else executor.map(realize, chunks)
+        except RuntimeError as exc:  # a chunk's own errors surface in the loop, not here
+            raise MemoryError(f"could not start a worker thread: {exc}") from exc
+        for means in results:
             for name, rows in means.items():
                 sums[name] = sum(rows, sums.get(name, 0))
         artifacts = {}

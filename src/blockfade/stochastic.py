@@ -9,15 +9,15 @@ delay spread.
 
 Sampling is reproducible: all Gaussians come from the fixed transform
 ``sqrt(-ln u1 * r**2) * exp(2j*pi*u2)`` (a link's grid ``r * q`` as drawn),
-by quarter turns, on uniforms from a counter-based (Philox) stream.  A seed
-and a stream path fix every uniform, and every value but the last digits
-that libm, numpy's SIMD ``tan`` and BLAS may round otherwise on another
-platform or CPU.  The stream order is part of that contract: a link grid
-takes a block of u1 values followed by a block of u2 values, and several
-consecutive links drawn as one ``(n_links, 2, ...)`` block are the same
-sequence.  ``substream`` is the reference stream of a path; a run re-keys
-one generator per worker to it, with keys computed for a chunk of paths at
-once (``philox_keys``).
+by quarter turns applied as exact products with ``QUARTER_TURNS``, on
+uniforms from a counter-based (Philox) stream.  A seed and a stream path fix
+every uniform, and every value but the last digits that libm, numpy's SIMD
+``tan`` and BLAS may round otherwise on another platform or CPU.  The stream
+order is part of that contract: a link grid takes a block of u1 values
+followed by a block of u2 values, and several consecutive links drawn as one
+``(n_links, 2, ...)`` block are the same sequence.  ``substream`` is the
+reference stream of a path; a run re-keys one generator per worker to it,
+with keys computed for a chunk of paths at once (``philox_keys``).
 
 ``CorrelationSpec`` validates its fields at construction, so
 ``build_covariance`` only builds the matrix; ``ScenarioConfig`` checks
@@ -46,6 +46,8 @@ from .model import ResourceGrid, is_finite_real, is_int
 MODES = ("time", "frequency", "none")
 
 CHOLESKY_JITTER = 1e-12
+
+QUARTER_TURNS = np.array([1, 1j, -1, -1j])  # 1j**k, k = 0..3
 
 
 @dataclass(frozen=True)
@@ -194,39 +196,35 @@ def rekey(rng: np.random.Generator, key) -> np.random.Generator:
     return rng
 
 
-def complex_normals(u1: np.ndarray, u2: np.ndarray, variance=1.0, out=None) -> np.ndarray:
+def complex_normals(u: np.ndarray, variance=1.0, out=None) -> np.ndarray:
     """Circularly-symmetric complex Gaussians ``sqrt(-ln u1 * variance) * exp(2j*pi*u2)``,
-    E|q|^2 = variance, of two equal blocks of uniforms, u1 taken as ``1 - u`` in (0, 1],
-    into ``out`` if given; the blocks and out's bytes are the scratch.  The phase is
-    ``1j**k * (cos psi + 1j*sin psi)``, k = rint(4*u2), psi = 2*pi*(u2 - k/4) exactly,
-    |psi| <= pi/4 where libm is fast: u2 = 0, 1/4, 1/2, 3/4 give exactly 1, 1j, -1, -1j.
-    ``y = r sin psi`` is libm's, and ``x = r cos psi`` is taken as ``r - tan(psi/2) * y``
-    by numpy's vectorized tan, within 2 ulp of the radius."""
+    E|q|^2 = variance, of a contiguous ``(2, ...)`` block ``u1, u2 = u`` of uniforms, u1
+    taken as ``1 - u`` in (0, 1], into ``out`` if given; u's and out's bytes are the scratch.
+    The phase is ``1j**k * (cos psi + 1j*sin psi)``, k = rint(4*u2), psi = 2*pi*(u2 - k/4)
+    exactly, |psi| <= pi/4 where libm is fast.  ``y = r sin psi`` is libm's, and
+    ``x = r cos psi`` is ``r - tan(psi/2) * y`` by numpy's vectorized tan, within 2 ulp of r.
+    ``1j**k`` is an exact product with ``QUARTER_TURNS[k & 3]``, gathered into u's bytes: one
+    term of each part is an exact zero, so u2 = 0, 1/4, 1/2, 3/4 give r * (1, 1j, -1, -1j)."""
+    u1, u2 = u
     radius = np.log(np.subtract(1.0, u1, out=u1), out=u1)
     np.sqrt(np.multiply(radius, np.negative(variance), out=radius), out=radius)
     out = np.empty(u1.shape, dtype=complex) if out is None else out
-    k, t = out.reshape(-1).view(np.uint64).reshape((2,) + u1.shape)
+    big, t = out.reshape(-1).view(float).reshape((2,) + u1.shape)
     turns = np.multiply(4.0, u2, out=u2)
     # turns + 1.5 * 2**52 rounds half to even, as rint does, to a double whose low bits are
-    # rint(turns); k's bytes hold it, and psi is taken from it without a cast
-    big = np.add(turns, 1.5 * 2 ** 52, out=k.view(float))
-    psi = np.subtract(turns, np.subtract(big, 1.5 * 2 ** 52, out=t.view(float)), out=turns)
+    # rint(turns); k is its last two bits, and psi is taken from it without a cast
+    np.add(turns, 1.5 * 2 ** 52, out=big)
+    k = np.bitwise_and(big.view(np.int64), 3)
+    psi = np.subtract(turns, np.subtract(big, 1.5 * 2 ** 52, out=t), out=turns)
     psi *= np.pi / 2
-    # x + 1j*y on the bits: a half turn (k = 2, 3) flips the radius, an odd turn flips y
-    # and swaps x and y
-    x, y = radius.view(np.uint64), psi.view(np.uint64)
-    x ^= np.left_shift(np.bitwise_and(k, 2, out=t), 62, out=t)
     # r cos psi = r - 2 r sin(psi/2)**2 = r - tan(psi/2) * r sin psi
-    tan = np.tan(np.multiply(psi, 0.5, out=t.view(float)), out=t.view(float))
+    tan = np.tan(np.multiply(psi, 0.5, out=t), out=t)
     np.multiply(radius, np.sin(psi, out=psi), out=psi)
     radius -= np.multiply(tan, psi, out=tan)
-    y ^= np.left_shift(k, 63, out=t)
-    np.negative(np.bitwise_and(k, 1, out=t), out=t)  # all ones at odd k
-    y ^= x
-    x ^= np.bitwise_and(t, y, out=t)
-    y ^= x
     out.real, out.imag = radius, psi
-    return out
+    # k is in 0..3 already; take's default mode="raise" would copy out through a buffer
+    turn = QUARTER_TURNS.take(k, out=u.reshape(-1).view(complex).reshape(k.shape), mode="wrap")
+    return np.multiply(out, turn, out=out)
 
 
 def build_covariance(spec: CorrelationSpec) -> np.ndarray:
@@ -281,6 +279,6 @@ def sample_link_grids(spec: CorrelationSpec, grid: ResourceGrid, n_antennas: int
                       n_links: int, rng, variance=1.0) -> np.ndarray:
     """Correlated grids (n_links, n_antennas, t_max, f_max) of consecutive links from one
     draw, per link a u1 block and then a u2 block, of ``variance`` (..., n_antennas)."""
-    u = rng.random((n_links, 2, n_antennas, grid.t_max, grid.f_max))
-    z = complex_normals(u[:, 0], u[:, 1], np.asarray(variance)[..., None, None])
+    u = rng.random((n_links, 2, n_antennas, grid.t_max, grid.f_max)).swapaxes(0, 1)
+    z = complex_normals(np.ascontiguousarray(u), np.asarray(variance)[..., None, None])
     return correlate(spec, z)

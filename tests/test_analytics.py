@@ -44,7 +44,7 @@ class TestGram:
         rng = substream(8, 0)
         vals = np.empty(m)
         for i in range(m):
-            h = complex_normals(*rng.random((2, n, k)))
+            h = complex_normals(rng.random((2, n, k)))
             vals[i] = np.abs(gram(h)[0, 1]) ** 2
         assert abs(vals.mean() - 1 / n) <= 0.1 / n
 
@@ -54,7 +54,7 @@ class TestGram:
     def test_hermitian_closure_and_trace(self, shape):
         # bitwise Hermitian, so every |G_ij| / (d_i d_j) of a run is bitwise symmetric
         rng = substream(8, 1)
-        h = complex_normals(*rng.random((2,) + shape))
+        h = complex_normals(rng.random((2,) + shape))
         g = gram(h)
         assert np.array_equal(g, g.conj().swapaxes(-1, -2))
         trace = g.diagonal(axis1=-2, axis2=-1).real.sum(axis=-1)
@@ -125,7 +125,7 @@ class TestEmpiricalCDF:
         assert (cdf <= 2.5).mean() == 0.5
 
     def test_exponential_median(self):
-        q = complex_normals(*substream(16, 0).random((2, 10 ** 4)))
+        q = complex_normals(substream(16, 0).random((2, 10 ** 4)))
         cdf = empirical_cdf(np.abs(q) ** 2)
         assert abs((cdf <= np.log(2)).mean() - 0.5) <= 0.02
 
@@ -154,7 +154,7 @@ class TestGramCorrelation:
     def test_matches_two_products(self, shape):
         # users' powers 1e-3..1e3 apart; at N = 1 every pair correlates fully
         rng = substream(25, len(shape))
-        h = complex_normals(*rng.random((2,) + shape)) * 10.0 ** rng.integers(-3, 4, shape[-1])
+        h = complex_normals(rng.random((2,) + shape)) * 10.0 ** rng.integers(-3, 4, shape[-1])
         got, want = gram_correlation(gram(h)), _two_products(h)
         off = ~np.eye(shape[-1], dtype=bool)
         # a few ulp of 1, the scale of a correlation
@@ -164,13 +164,13 @@ class TestGramCorrelation:
 
     def test_parallel_users_stay_at_one(self):
         # exact copies, scaled by powers of two and by 1j: Cauchy-Schwarz holds to 4 ulp
-        h = complex_normals(*substream(26, 0).random((2, 50, 64, 1)))
+        h = complex_normals(substream(26, 0).random((2, 50, 64, 1)))
         h = np.concatenate([h, 2.0 ** -20 * h, 2.0 ** 30j * h, -1j * h], axis=-1)
         got = gram_correlation(gram(h))
         assert np.abs(got - 1).max() <= 4 * self.EPS
 
     def test_zero_norm_user_rejected(self):
-        h = complex_normals(*substream(27, 0).random((2, 4, 16, 3)))
+        h = complex_normals(substream(27, 0).random((2, 4, 16, 3)))
         h[2, :, 1] = 0.0
         with pytest.raises(NumericalError, match="user 1 has a zero-norm"):
             gram_correlation(gram(h))
@@ -182,7 +182,7 @@ class TestUserCorrelation:
         return ordered_mean(gram_correlation(gram(h)))
 
     def test_identical_users(self):
-        h = complex_normals(*substream(17, 0).random((2, 8, 1)))
+        h = complex_normals(substream(17, 0).random((2, 8, 1)))
         corr = self.user_correlation(np.hstack([h, h])[None])
         assert corr[0, 1] == pytest.approx(1.0, abs=1e-12)
 
@@ -202,7 +202,7 @@ class TestUserCorrelation:
         # same seeds, more antennas -> lower mean cross-correlation
         def mean_corr(n):
             rng = substream(18, n)
-            h = np.stack([complex_normals(*rng.random((2, n, 2))) for _ in range(300)])
+            h = np.stack([complex_normals(rng.random((2, n, 2))) for _ in range(300)])
             corr = self.user_correlation(h)
             return corr[~np.eye(2, dtype=bool)].mean()
         assert mean_corr(128) < mean_corr(20)
@@ -239,7 +239,7 @@ class TestCoefficientHistogram:
         assert np.abs(radii - 0.9).max() <= diag
 
     def test_counts_cover_all_samples(self):
-        q = complex_normals(*substream(19, 0).random((2, 5000)))
+        q = complex_normals(substream(19, 0).random((2, 5000)))
         hist = coefficient_histogram(q, bins_per_axis=16)
         assert hist["counts"].sum() == 5000
         assert hist["edges"][0] == -hist["edges"][-1]
@@ -256,7 +256,7 @@ class TestCoefficientHistogram:
         """n Gaussians, then every edge of their square (+-half among them) as real and
         as imaginary parts, each paired with a random sample's other part."""
         rng = substream(seed, 0)
-        v = complex_normals(*rng.random((2, n)))
+        v = complex_normals(rng.random((2, n)))
         half = max(np.abs(v.real).max(), np.abs(v.imag).max())
         edges = np.linspace(-half, half, bins + 1)
         partner = v[rng.integers(0, n, bins + 1)]
@@ -289,7 +289,7 @@ class TestCoefficientHistogram:
 
     def test_transients_stay_below_a_mebibyte(self):
         # 2**20 samples are 16 MiB; the histogram bins them block by block
-        v = complex_normals(*substream(24, 0).random((2, 2 ** 20)))
+        v = complex_normals(substream(24, 0).random((2, 2 ** 20)))
         tracemalloc.start()
         try:
             hist = coefficient_histogram(v)
@@ -309,7 +309,7 @@ class TestCoefficientHistogram:
 class TestPowerProfile:
     def test_flat_iid_profile(self):
         rng = substream(20, 0)
-        blocks = [complex_normals(*rng.random((2, 8, 3))) for _ in range(10 ** 4)]
+        blocks = [complex_normals(rng.random((2, 8, 3))) for _ in range(10 ** 4)]
         profile = power_profile(blocks)
         assert profile.shape == (8, 3)
         assert np.abs(profile - 1.0).max() <= 0.05

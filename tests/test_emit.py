@@ -557,6 +557,29 @@ class TestCli:
         assert err.splitlines() == ["memory failure: Unable to allocate 256. MiB for an array"]
         assert "Traceback" not in err
 
+    def test_thread_that_cannot_start_exits_4(self, capsys, monkeypatch):
+        # the pool's first submit fails to start its thread, so no thread ever runs
+        import threading
+
+        def no_thread(self):
+            raise RuntimeError("can't start new thread")
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        assert main(["preset", "paper-D", "--threads", "2"]) == 4
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("memory failure:")
+        assert "can't start new thread" in err and "Traceback" not in err
+
+    def test_numerical_failure_in_a_worker_still_exits_3(self, capsys, monkeypatch):
+        # NumericalError is a RuntimeError: a chunk's own failure is not a thread start
+        from blockfade import NumericalError, scenario
+
+        def failing(*args, **kwargs):
+            raise NumericalError("a chunk failed")
+        monkeypatch.setattr(scenario, "_realize_chunk", failing)
+        assert main(["preset", "paper-D", "--threads", "2"]) == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["numerical failure: a chunk failed"]
+
     @pytest.mark.parametrize("option, value", [
         ("--seed", "-1"), ("--seed", str(2 ** 64)), ("--threads", "0")])
     def test_bad_cli_values_exit_2(self, option, value, capsys):

@@ -82,9 +82,20 @@ def _mutate(doc, draw):
     parent[key] = draw(st.sampled_from(BAD_VALUES))
 
 
+def _simulate(argv):
+    """``main(argv)`` with numpy warnings as errors: its exit code and stderr lines."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    return code, err.getvalue().splitlines()
+
+
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
-@given(doc=documents())
-def test_document_that_validates_simulates_and_round_trips(doc):
+@given(doc=documents(), threads=st.sampled_from((1, 2, 3)),
+       seed=st.sampled_from((None, 0, 2 ** 64 - 1, -1, 2 ** 64)))
+def test_document_that_validates_simulates_and_round_trips(doc, threads, seed):
     text = json.dumps(doc)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.json"
@@ -97,17 +108,19 @@ def test_document_that_validates_simulates_and_round_trips(doc):
             return
         assert code == 0
         assert config_from_dict(config_to_dict(config)) == config
-        # simulate runs parse_config -> run_scenario -> write_bundle; any
-        # exception other than ConfigError/NumericalError escapes main, and
-        # a numpy warning on the way raises
-        err = io.StringIO()
-        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
-            warnings.simplefilter("error")
-            code = main(["simulate", str(path), "--out", str(Path(tmp) / "out")])
-        assert code in (0, 3)
-        lines = err.getvalue().splitlines()
+        # simulate runs parse_config -> run_scenario -> write_bundle at the drawn --threads
+        # and --seed (-1 and 2**64 are out of range); any exception other than
+        # ConfigError/NumericalError escapes main, and a numpy warning on the way raises
+        argv = ["simulate", str(path)] + ([] if seed is None else ["--seed", str(seed)])
+        out, one = Path(tmp) / "out", Path(tmp) / "one"
+        code, lines = _simulate(argv + ["--threads", str(threads), "--out", str(out)])
+        assert (code == 2) if seed in (-1, 2 ** 64) else (code in (0, 3))
         if code == 0:
             assert lines == []
+            if threads > 1:  # the same files as at one thread
+                assert _simulate(argv + ["--threads", "1", "--out", str(one)]) == (0, [])
+                manifest = (out / "manifest.csv").read_bytes()
+                assert (one / "manifest.csv").read_bytes() == manifest
         else:
             assert len(lines) == 1
             assert lines[0].startswith(("config error:", "numerical failure:",

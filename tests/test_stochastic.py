@@ -98,7 +98,7 @@ class TestCholesky:
 
 class TestComplexNormal:
     def test_moments(self):
-        q = complex_normals(*substream(17, 0).random((2, 10 ** 5)))
+        q = complex_normals(substream(17, 0).random((2, 10 ** 5)))
         n = q.size
         assert np.abs(q.mean()) <= 5 / np.sqrt(n)
         assert abs(np.mean(np.abs(q) ** 2) - 1.0) <= 0.02
@@ -110,7 +110,7 @@ class TestComplexNormal:
     def test_quarter_turns_are_exact(self):
         u1 = substream(17, 1).random(4)
         radius = np.sqrt(-np.log(1.0 - u1))
-        q = complex_normals(u1.copy(), np.array([0.0, 0.25, 0.5, 0.75]))
+        q = complex_normals(np.stack([u1, [0.0, 0.25, 0.5, 0.75]]))
         assert np.array_equal(q, radius * np.array([1, 1j, -1, -1j]))
 
     def test_phase_within_two_ulp_of_the_radius(self):
@@ -124,7 +124,7 @@ class TestComplexNormal:
                              [1.0 - 2.0 ** -53]])
         u1 = substream(17, 3).random(u2.size)
         radius = np.sqrt(-np.log(1.0 - u1))
-        q = complex_normals(u1.copy(), u2.copy())
+        q = complex_normals(np.stack([u1, u2]))
         pi = np.arccos(np.longdouble(-1.0))
         exact = radius * np.exp(2j * pi * u2.astype(np.longdouble))
         ulp = np.spacing(radius)
@@ -140,7 +140,7 @@ class TestComplexNormal:
                              np.nextafter(quarters, 1.0), np.nextafter(quarters[1:], 0.0),
                              [1.0 - 2.0 ** -53]])
         u1 = substream(17, 6).random(u2.size)
-        q = complex_normals(u1.copy(), u2.copy())
+        q = complex_normals(np.stack([u1, u2]))
         k = np.rint(4.0 * u2)
         psi = (4.0 * u2 - k) * (np.pi / 2)
         # r sin psi, and r cos psi taken as r - tan(psi/2) * r sin psi
@@ -156,8 +156,8 @@ class TestComplexNormal:
         # per-antenna r, the first 0: a spread-0 link's grid is exactly zero
         u = substream(17, 4).random((2, 32, 3, 5))
         r = np.linspace(0.0, 3.0, 32)[:, None, None]
-        scaled = complex_normals(*u.copy(), variance=r ** 2)
-        np.testing.assert_allclose(scaled, r * complex_normals(*u.copy()),
+        scaled = complex_normals(u.copy(), variance=r ** 2)
+        np.testing.assert_allclose(scaled, r * complex_normals(u.copy()),
                                    rtol=4 * np.finfo(float).eps, atol=0.0)
         assert (scaled[0] == 0).all()
 
@@ -215,7 +215,7 @@ class TestSampleQBlock:
     def test_matches_einsum_oracle(self, spec, grid):
         q = sample_link_grids(spec, grid, 7, 1, substream(41, 2))[0]
         # the same substream gives the same draws; the product is the explicit sum
-        z = complex_normals(*substream(41, 2).random((2, 7, grid.t_max, grid.f_max)))
+        z = complex_normals(substream(41, 2).random((2, 7, grid.t_max, grid.f_max)))
         lower = cholesky_psd(build_covariance(spec))
         if spec.mode == "time":
             expected = np.einsum("ab,nbf->naf", lower, z)
@@ -235,7 +235,7 @@ class TestSampleQBlock:
         # bits, with and without out
         time = spec.mode == "time"
         shape = (3, 16, spec.length, 5) if time else (3, 16, 5, spec.length)
-        z = complex_normals(*substream(43, 1).random((2,) + shape))
+        z = complex_normals(substream(43, 1).random((2,) + shape))
         want = np.matmul(spec.lower, z) if time else np.matmul(z, spec.lower.T)
         out = np.empty_like(z)
         assert correlate(spec, z, out) is out
