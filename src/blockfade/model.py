@@ -61,6 +61,12 @@ class ArrayGeometry:
         if not (is_finite_real(self.spacing_ratio) and self.spacing_ratio > 0):
             raise ValueError(f"spacing_ratio must be a finite real number > 0, "
                              f"got {self.spacing_ratio!r}")
+        # phase_ramps' largest ramp, in its float operations (and at N = 1 its slope); an
+        # N - 1 past the largest float overflows the ramp as its conversion would
+        if not is_finite_real(TWO_PI * self.spacing_ratio
+                              * min(max(1, self.n_antennas - 1), sys.float_info.max)):
+            raise ValueError(f"spacing_ratio {self.spacing_ratio!r} is too large for "
+                             f"n_antennas: 2*pi*spacing_ratio*(n_antennas - 1) overflows")
         # plain Python numbers, so the config.json echo is one asdict away
         object.__setattr__(self, "n_antennas", int(self.n_antennas))
         object.__setattr__(self, "spacing_ratio", float(self.spacing_ratio))

@@ -26,8 +26,7 @@ from . import analytics
 from .errors import ConfigError, NumericalError
 from .model import (RANDOM_DIRECTION, ArrayGeometry, ClusterSpec, LinkTable, ResourceGrid,
                     TWO_PI, UserSpec, is_int, link_means, link_table)
-from .stochastic import (CorrelationSpec, complex_normals, correlate, philox_keys, rekey,
-                         seed_pool)
+from .stochastic import CorrelationSpec, complex_normals, correlate, philox_keys, rekey
 
 ARTIFACT_NAMES = ("histogram", "cross-correlation", "eigencdf",
                   "power-profile", "correlation-matrix", "raw-channel")
@@ -214,11 +213,11 @@ def _from_dict(cls, doc, path: str, **convert):
                                 else value for key, value in doc.items()})
 
 
-def _list(make, non_empty: bool = True):
-    """Converter of a list (or tuple) whose items ``make(item, path)`` converts."""
+def _list(make):
+    """Converter of a list (or tuple), empty or not, whose items ``make(item, path)`` converts."""
     def convert(items, path: str) -> tuple:
-        if not isinstance(items, (list, tuple)) or (non_empty and not items):
-            raise ConfigError(f"{path}: must be a {'non-empty ' * non_empty}list")
+        if not isinstance(items, (list, tuple)):
+            raise ConfigError(f"{path}: must be a list")
         return tuple(make(item, f"{path}[{i}]") for i, item in enumerate(items))
     return convert
 
@@ -251,7 +250,7 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
                       geometry=partial(_from_dict, ArrayGeometry), users=_list(user),
                       grid=partial(_from_dict, ResourceGrid),
                       correlation=_correlation_from_dict,
-                      outputs=_list(lambda name, path: name, non_empty=False))
+                      outputs=_list(lambda name, path: name))
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -361,10 +360,10 @@ class _Workspace:
         self.h = None if keep else np.empty((size, t, f, n, config.n_users), dtype=complex)
 
 
-def _realize_chunk(config: ScenarioConfig, links: LinkTable, pool: np.ndarray, ws: _Workspace,
-                   needs: set, kept: dict, indices: range) -> dict:
+def _realize_chunk(config: ScenarioConfig, links: LinkTable, ws: _Workspace, needs: set,
+                   kept: dict, indices: range) -> dict:
     """One kernel pass over the C realizations in the range ``indices`` (see ``_plan``)
-    in the worker's workspace ``ws``; ``pool`` is ``seed_pool(config.seed)``.  It writes
+    in the worker's workspace ``ws``, keyed by ``philox_keys(config.seed, indices)``.  It writes
     their rows of the run-level arrays in ``kept`` and returns only their ``power-profile``
     and ``correlation-matrix`` means, each (C, ...) in realization order.
 
@@ -385,7 +384,7 @@ def _realize_chunk(config: ScenarioConfig, links: LinkTable, pool: np.ndarray, w
     """
     with np.errstate(over="ignore", invalid="ignore"):
         c, (_, step, span, _), n_links = len(indices), ws.plan, len(links.user)
-        for i, key in enumerate(philox_keys(pool, indices).tolist()):
+        for i, key in enumerate(philox_keys(config.seed, indices).tolist()):
             rekey(ws.rng, key).random(out=ws.spatial[i])
             ws.rng.random(out=ws.uniforms[i])  # the first link block, `step` links
         # directions pi * u and phases 2*pi * u: rng.uniform(0, pi) and (0, 2*pi) one by one
@@ -476,12 +475,12 @@ def run_scenario(config: ScenarioConfig, out_dir=None, threads: int = 1) -> Repo
             kept[name] = np.empty((r, t * f, width))
     plan = _plan(config, links, keep="channels" in kept)
     chunks = [range(r)[a:a + plan[0]] for a in range(0, r, plan[0])]
-    pool, local = seed_pool(config.seed), threading.local()  # both freed when the run returns
+    local = threading.local()  # freed, with the workspaces, when the run returns
 
     def realize(chunk):
         if not hasattr(local, "workspace"):  # one workspace per worker thread
             local.workspace = _Workspace(config, links, plan, keep="channels" in kept)
-        return _realize_chunk(config, links, pool, local.workspace, needs, kept, chunk)
+        return _realize_chunk(config, links, local.workspace, needs, kept, chunk)
 
     workers = min(threads, len(chunks), MAX_WORKERS, max(1, WORKSPACE_BUDGET // plan[3]))
     sums = {}  # the chunks' means, summed in realization order on arrival as ordered_mean

@@ -17,7 +17,8 @@ order is part of that contract: a link grid takes a block of u1 values
 followed by a block of u2 values, and several consecutive links drawn as one
 ``(n_links, 2, ...)`` block are the same sequence.  ``substream`` is the
 reference stream of a path; a run re-keys one generator per worker to it,
-with keys computed for a chunk of paths at once (``philox_keys``).
+with keys computed for a chunk of paths at once from numpy's entropy pool of
+the seed (``philox_keys``).
 
 ``CorrelationSpec`` validates its fields at construction, so
 ``build_covariance`` only builds the matrix; ``ScenarioConfig`` checks
@@ -144,10 +145,11 @@ def _constants(init: int, mult: int, count: int) -> np.ndarray:
     return np.array(consts, dtype=np.uint32)
 
 
-# numpy SeedSequence's hash constants, which no entropy changes: mix_entropy hashes the
-# 4 pool words, 12 word pairs and then 4 times per spawn word (2 at most here), and
-# generate_state hashes 4 words into a Philox key; _MIX are the multipliers of mix
-_HASH_A, _HASH_B = _constants(0x43B0D7E5, 0x931E8875, 24), _constants(0x8B51F9DD, 0x58F38DED, 4)
+# numpy SeedSequence's hash constants, which no entropy changes: the first 16 build the
+# seed's pool, the rest hash each spawn word 4 times (2 words at most here); generate_state
+# hashes 4 words into a Philox key, and _MIX are the multipliers of mix
+_HASH_A = _constants(0x43B0D7E5, 0x931E8875, 24)[16:]  # the spawn words' constants
+_HASH_B = _constants(0x8B51F9DD, 0x58F38DED, 4)
 _MIX = (0xCA01F9DD, 0x4973F715)
 
 
@@ -163,26 +165,14 @@ def _mix(x, y):
     return result ^ result >> 16
 
 
-def seed_pool(seed: int) -> np.ndarray:
-    """The entropy pool of ``SeedSequence(seed, spawn_key=(m,))``, seed < 2**64, before
-    its spawn words are mixed in: the seeding all realizations of a run share."""
-    pool = _hashmix(np.array([seed & 0xFFFFFFFF, seed >> 32, 0, 0], dtype=np.uint32),
-                    _HASH_A[:5])  # the seed's words, zero-padded
-    for src in range(4):  # each word mixed into the others
-        others = [dst for dst in range(4) if dst != src]
-        value = _hashmix(np.repeat(pool[src], 3), _HASH_A[4 + 3 * src:8 + 3 * src])
-        pool[others] = _mix(pool[others], value)
-    return pool
-
-
-def philox_keys(pool: np.ndarray, indices) -> np.ndarray:
+def philox_keys(seed: int, indices) -> np.ndarray:
     """(len(indices), 2) uint64 Philox keys of ``substream(seed, m)`` for m in ``indices``,
-    ``pool = seed_pool(seed)``: the hash of the spawn words (one below 2**32, else
-    two) and ``generate_state(2, uint64)``, on every index at once."""
+    seed < 2**64: numpy's entropy pool of the seed, then the hash of the spawn words (one
+    below 2**32, else two) and ``generate_state(2, uint64)``, on every index at once."""
     m = np.asarray(indices, dtype=np.uint64)
-    mixed = pool[:, None]
+    mixed = np.random.SeedSequence(seed).pool[:, None]
     for i, (word, used) in enumerate(((m & 0xFFFFFFFF, True), (m >> 32, m >> 32 != 0))):
-        value = _hashmix(word.astype(np.uint32)[None], _HASH_A[16 + 4 * i:21 + 4 * i])
+        value = _hashmix(word.astype(np.uint32)[None], _HASH_A[4 * i:5 + 4 * i])
         mixed = np.where(used, _mix(mixed, value), mixed)
     state = _hashmix(mixed, _HASH_B)
     return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)

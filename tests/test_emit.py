@@ -432,6 +432,44 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("config error") == 2 and key in err
 
+    @pytest.mark.parametrize("key, message", [
+        ("users", "config error: config: at least one user required"),
+        ("clusters", "config error: config.users[0]: a user needs at least one cluster"),
+        ("outputs", None)], ids=["users", "clusters", "outputs"])
+    def test_empty_list_is_judged_by_its_spec(self, key, message, tmp_path, capsys):
+        # ScenarioConfig needs a user and UserSpec a cluster; no output is a valid run
+        doc = {"seed": 3, "geometry": {"n_antennas": 4},
+               "users": [{"clusters": [{"direction": 0.1, "spread_fraction": 0.5}]}],
+               "realizations": 2, "outputs": ["histogram"]}
+        (doc["users"][0] if key == "clusters" else doc)[key] = []
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        code = 2 if message else 0
+        assert main(["validate", str(path)]) == code
+        assert main(["simulate", str(path)]) == code
+        assert capsys.readouterr().err.splitlines() == ([message] * 2 if message else [])
+
+    @pytest.mark.parametrize("n_antennas, spacing_ratio, code", [
+        (8, 1e307, 2), (1, 1e308, 2), (10 ** 400, 0.25, 2), (8, 1e300, 0), (1, 1e307, 0)],
+        ids=["ramp", "slope", "n-past-float", "large-ramp", "large-slope"])
+    def test_spacing_that_overflows_the_phase_ramp_exits_2(self, n_antennas, spacing_ratio,
+                                                          code, tmp_path, capsys):
+        # the ramp 2*pi*spacing_ratio*(N - 1), or at N = 1 its slope, overflows only where
+        # the code is 2 (an N - 1 past the largest double, too, and without a traceback);
+        # a raw-channel run computes no power, so nothing else can overflow
+        doc = {"seed": 3, "geometry": {"n_antennas": n_antennas, "spacing_ratio": spacing_ratio},
+               "users": [{"clusters": [{"direction": 0.0, "spread_fraction": 0.5},
+                                       {"direction": "random", "spread_fraction": 0.5}]}],
+               "realizations": 2, "outputs": ["raw-channel"]}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == code
+        assert main(["simulate", str(path)]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == (2 if code else 0)
+        assert all(line.startswith("config error: config.geometry: spacing_ratio ")
+                   for line in err)
+
     @pytest.mark.parametrize("smallest, code", [(-6.9e-11, 2), (-3e-13, 0)],
                              ids=["rejected", "accepted"])
     def test_custom_matrix_psd_decided_once(self, smallest, code, tmp_path, capsys):

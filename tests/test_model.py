@@ -1,6 +1,9 @@
 """Tests for the deterministic spatial structure (geometry, clusters, pairs)
 and for adding links into the channel tensor."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -42,6 +45,17 @@ class TestPhaseRamp:
             ramp = phase_ramps([theta], geo)[0]
             assert ramp.shape == (64,)
             assert (ramp >= 0).all() and (ramp < 2 * np.pi).all()
+
+    def test_largest_accepted_spacing_keeps_the_ramp_finite(self):
+        # ArrayGeometry repeats the ramp's float operations, so its bound is exact: the
+        # largest spacing it accepts gives a finite endfire ramp, the next double is rejected
+        n, largest = 8, sys.float_info.max / (2 * np.pi * 7) * (1 - 2 ** -50)
+        while math.isfinite(2 * np.pi * math.nextafter(largest, math.inf) * (n - 1)):
+            largest = math.nextafter(largest, math.inf)
+        ramp = phase_ramps([0.0], ArrayGeometry(n, largest))[0]
+        assert np.isfinite(ramp).all() and ramp.shape == (n,)
+        with pytest.raises(ValueError, match="spacing_ratio"):
+            ArrayGeometry(n, math.nextafter(largest, math.inf))
 
     def test_adjacent_differences_equal_slope(self):
         rng = np.random.default_rng(7)

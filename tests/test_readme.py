@@ -2,9 +2,10 @@
 document validates and simulates through the command line.  Its preset
 table describes what ``expand_preset`` builds.  The public API is pinned:
 ``__all__`` is an exact list of names, resolves, and covers what the
-README imports."""
+README imports; every module-qualified name the README cites exists."""
 
 import ast
+import importlib
 import os
 import re
 
@@ -81,3 +82,12 @@ def test_readme_imports_only_public_names():
                 if isinstance(node, ast.ImportFrom) and node.module == "blockfade"
                 for alias in node.names}
     assert imported and imported <= set(blockfade.__all__)
+
+
+def test_cited_module_names_resolve():
+    # a name such as `stochastic.philox_keys` must exist on that blockfade module
+    cited = set(re.findall(r"`(scenario|stochastic|analytics|emit|model)\.(\w+)", _readme()))
+    assert cited
+    missing = [f"{module}.{name}" for module, name in sorted(cited)
+               if not hasattr(importlib.import_module(f"blockfade.{module}"), name)]
+    assert missing == []

@@ -16,7 +16,7 @@ import pytest
 import blockfade
 from blockfade import (ArrayGeometry, ClusterSpec, ConfigError, CorrelationSpec, NumericalError,
                        ResourceGrid, ScenarioConfig, UserSpec, expand_preset,
-                       parse_config, run_scenario, substream)
+                       parse_config, power_profile, run_scenario, substream)
 from blockfade.model import link_means, link_table
 from blockfade.scenario import (ARTIFACT_NAMES, DRAW_BLOCK_UNIFORMS, MAX_ARRAY_ENTRIES,
                                 PRESET_NAMES, _Workspace, _plan, _require_finite,
@@ -398,6 +398,21 @@ class TestRunScenario:
         for payload in artifacts.values():
             parts = payload.values() if isinstance(payload, dict) else [payload]
             assert all(isinstance(a, np.ndarray) for a in parts)
+
+    def test_power_profile_matches_the_reference(self):
+        # the kernel's per-realization RB means, averaged, against analytics.power_profile
+        # of every kept channel matrix; 500 realizations run in three chunks
+        n = 4
+        doc = _doc(geometry={"n_antennas": n}, grid={"t_max": 3, "f_max": 4}, realizations=500,
+                   correlation={"mode": "time", "model": "exponential", "rho": 0.7, "length": 3},
+                   users=[{"clusters": [{"direction": 0.4, "spread_fraction": 0.3,
+                                         "mean_power": [0.5, 1.0, 1.5, 2.0]},
+                                        {"direction": "random", "spread_fraction": 0.6}]},
+                          {"clusters": [{"direction": 2.1, "spread_fraction": 0.8}]}],
+                   outputs=["power-profile", "raw-channel"])
+        artifacts = run_scenario(parse_config(json.dumps(doc))).artifacts
+        reference = power_profile(artifacts["raw-channel"].reshape(-1, n, 2))
+        np.testing.assert_allclose(artifacts["power-profile"], reference, rtol=1e-12)
 
     def test_seed_determinism_and_thread_invariance(self):
         config = replace(expand_preset("paper-D"), realizations=50)
@@ -1003,9 +1018,9 @@ class TestPlan:
         config = replace(_workspace_configs()["none"], outputs=("eigencdf",))
         seen = []
 
-        def recording(config, links, pool, ws, needs, kept, indices):
+        def recording(config, links, ws, needs, kept, indices):
             seen.append((len(indices), ws.plan[:3]))
-            return real(config, links, pool, ws, needs, kept, indices)
+            return real(config, links, ws, needs, kept, indices)
         real = scenario._realize_chunk
         monkeypatch.setattr(scenario, "_realize_chunk", recording)
         run_scenario(config)

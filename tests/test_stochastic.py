@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from blockfade import (CorrelationSpec, NumericalError, ResourceGrid, build_covariance,
                        cholesky_psd, substream)
 from blockfade.stochastic import (complex_normals, correlate, philox_keys, rekey,
-                                  sample_link_grids, seed_pool)
+                                  sample_link_grids)
 
 
 class TestBuildCovariance:
@@ -299,7 +299,7 @@ class TestPhiloxKeys:
     @pytest.mark.parametrize("index", [0, 2 ** 32 - 1, 2 ** 32])
     @pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])
     def test_key_of_one_index(self, seed, index):
-        keys = philox_keys(seed_pool(seed), [index])
+        keys = philox_keys(seed, [index])
         assert keys.dtype == np.uint64 and keys.shape == (1, 2)
         assert np.array_equal(keys[0], _substream_key(seed, index))
 
@@ -308,18 +308,16 @@ class TestPhiloxKeys:
         # indices from 2**32 on take a second spawn word
         indices = range(2 ** 32 - 3, 2 ** 32 + 3)
         expected = [_substream_key(seed, m) for m in indices]
-        assert np.array_equal(philox_keys(seed_pool(seed), indices), expected)
+        assert np.array_equal(philox_keys(seed, indices), expected)
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(seed=st.integers(0, 2 ** 64 - 1), index=st.integers(0, 2 ** 64 - 1))
     def test_matches_substream(self, seed, index):
-        assert np.array_equal(philox_keys(seed_pool(seed), [index])[0],
-                              _substream_key(seed, index))
+        assert np.array_equal(philox_keys(seed, [index])[0], _substream_key(seed, index))
 
     def test_rekeyed_generator_draws_the_substream(self):
         rng = np.random.Generator(np.random.Philox(5))
         rng.integers(0, 2 ** 31, size=3, dtype=np.uint32)  # leave a buffered half word
-        pool = seed_pool(7)
         for index in (3, 2 ** 32 + 1, 3):
-            key = philox_keys(pool, [index])[0].tolist()
+            key = philox_keys(7, [index])[0].tolist()
             assert np.array_equal(rekey(rng, key).random(9), substream(7, index).random(9))
