@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import json
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import partial
 from typing import Optional
 
@@ -146,11 +147,7 @@ class ScenarioConfig:
                 ("cross-correlation magnitudes realizations*t_max*f_max*users*(users-1)/2",
                  self.realizations * rbs * k * (k - 1) // 2, {"cross-correlation"}),
                 ("Gram matrix users**2", k * k,
-                 {"eigencdf", "cross-correlation", "correlation-matrix"}),
-                ("power profiles realizations*n_antennas*users", self.realizations * n * k,
-                 {"power-profile"}),
-                ("correlation matrices realizations*users**2", self.realizations * k * k,
-                 {"correlation-matrix"})):
+                 {"eigencdf", "cross-correlation", "correlation-matrix"})):
             if entries > MAX_ARRAY_ENTRIES and (not needed or needed & outputs):
                 raise ConfigError(f"scenario too large: the {array} has {entries} "
                                   f"entries, limit {MAX_ARRAY_ENTRIES}")
@@ -456,8 +453,9 @@ def run_scenario(config: ScenarioConfig, out_dir=None, threads: int = 1) -> Repo
 
     Realizations are independent substreams of the config seed, computed
     in chunks the config alone fixes; with ``threads > 1`` chunks run
-    concurrently but are reduced in realization order, so artifacts are
-    bitwise identical to a single-threaded run.  With ``out_dir`` set,
+    concurrently, at most ``2 * workers - 1`` ahead of the oldest one not yet
+    summed, but are reduced in realization order, so artifacts are bitwise
+    identical to a single-threaded run.  With ``out_dir`` set,
     artifacts are also written as CSV/SVG files plus a manifest (see
     :mod:`blockfade.emit`).
     """
@@ -474,7 +472,6 @@ def run_scenario(config: ScenarioConfig, out_dir=None, threads: int = 1) -> Repo
         if name in needs:
             kept[name] = np.empty((r, t * f, width))
     plan = _plan(config, links, keep="channels" in kept)
-    chunks = [range(r)[a:a + plan[0]] for a in range(0, r, plan[0])]
     local = threading.local()  # freed, with the workspaces, when the run returns
 
     def realize(chunk):
@@ -482,17 +479,19 @@ def run_scenario(config: ScenarioConfig, out_dir=None, threads: int = 1) -> Repo
             local.workspace = _Workspace(config, links, plan, keep="channels" in kept)
         return _realize_chunk(config, links, local.workspace, needs, kept, chunk)
 
-    workers = min(threads, len(chunks), MAX_WORKERS, max(1, WORKSPACE_BUDGET // plan[3]))
-    sums = {}  # the chunks' means, summed in realization order on arrival as ordered_mean
+    workers = min(threads, -(-r // plan[0]), MAX_WORKERS, max(1, WORKSPACE_BUDGET // plan[3]))
+    sums, ahead = {}, deque()  # ahead: the chunks not yet summed, oldest first
     # an overflowing channel power only becomes a non-finite artifact here
     with np.errstate(over="ignore", invalid="ignore"), ThreadPoolExecutor(workers) as executor:
-        try:  # submitting the chunks starts the threads, and one worker starts none
-            results = map(realize, chunks) if workers == 1 else executor.map(realize, chunks)
-        except RuntimeError as exc:  # a chunk's own errors surface in the loop, not here
-            raise MemoryError(f"could not start a worker thread: {exc}") from exc
-        for means in results:
-            for name, rows in means.items():
-                sums[name] = sum(rows, sums.get(name, 0))
+        for chunk in (range(r)[a:a + plan[0]] for a in range(0, r, plan[0])):
+            try:  # a submit may start a thread; one worker runs each chunk in this thread
+                ahead.append(executor.submit(realize, chunk).result if workers > 1
+                             else partial(realize, chunk))
+            except RuntimeError as exc:  # a chunk's own errors surface at its result, not here
+                raise MemoryError(f"could not start a worker thread: {exc}") from exc
+            while len(ahead) == 2 * workers - 1 or ahead and chunk.stop == r:  # full, or the end
+                for name, rows in ahead.popleft()().items():  # the oldest, as ordered_mean
+                    sums[name] = sum(rows, sums.get(name, 0))
         artifacts = {}
         if "histogram" in needs:
             artifacts["histogram"] = analytics.coefficient_histogram(kept["channels"].ravel(),
@@ -522,6 +521,5 @@ def run_scenario(config: ScenarioConfig, out_dir=None, threads: int = 1) -> Repo
     if out_dir is not None:
         from .emit import write_bundle
         files, manifest = write_bundle(bundle, out_dir)
-        bundle = ReportBundle(config=config, artifacts=artifacts,
-                              files=files, manifest=manifest)
+        bundle = replace(bundle, files=files, manifest=manifest)
     return bundle

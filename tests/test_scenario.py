@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -251,18 +252,20 @@ class TestParseConfig:
     @pytest.mark.parametrize("output, limit, array", [
         ("eigencdf", 2 ** 9, "eigenvalues"),  # K = 2 eigenvalues per RB
         ("cross-correlation", 2 ** 10, "cross-correlation magnitudes"),  # 1 pair per RB
-        ("power-profile", 2 ** 23, "power profiles"),  # N * K = 2 powers
-        ("correlation-matrix", 2 ** 22, "correlation matrices"),  # K**2 = 4 entries
+        ("power-profile", 2 ** 23, None),  # once N * K = 2 powers a realization
+        ("correlation-matrix", 2 ** 22, None),  # once K**2 = 4 entries a realization
     ], ids=["eigencdf", "cross-correlation", "power-profile", "correlation-matrix"])
     @pytest.mark.parametrize("past", [0, 1], ids=["at-limit", "one-past"])
     def test_size_limit_of_kept_statistics(self, output, limit, array, past):
         # eigencdf and cross-correlation keep per-RB values of every
         # realization, here realizations * 2**14 RBs * (2 or 1); power-profile
-        # and correlation-matrix keep one (N, K) or (K, K) array each
+        # and correlation-matrix keep one (N, K) or (K, K) array each, and the
+        # means that wait for their sum are bounded by the workers, not the
+        # realizations, so the document one past their old limit is valid
         doc = _doc(geometry={"n_antennas": 1}, grid={"t_max": 2 ** 14},
                    realizations=limit + past, outputs=[output])
         doc["users"] *= 2
-        if not past:
+        if not past or array is None:
             parse_config(json.dumps(doc))
         else:
             with pytest.raises(ConfigError, match=f"too large: the {array}"):
@@ -557,7 +560,7 @@ class TestRunScenario:
         from blockfade import scenario
         workers = []
 
-        class SerialPool:  # records the workers asked for and maps in the calling thread
+        class SerialPool:  # records the workers asked for and runs in the calling thread
             def __init__(self, max_workers):
                 workers.append(max_workers)
 
@@ -567,8 +570,10 @@ class TestRunScenario:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
         # 3 chunks of 4, 4 and 2 realizations and a ceiling of 2: however many threads
         # are asked for, 2 workers are, and the artifacts are those of one thread
         config = self._config(realizations=10, geometry={"n_antennas": 8192},
@@ -579,6 +584,36 @@ class TestRunScenario:
         monkeypatch.setattr(scenario, "ThreadPoolExecutor", SerialPool)
         assert run_scenario(config, out_dir=tmp_path / "many", threads=10 ** 6).manifest == one
         assert workers == [2]
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_chunks_ahead_of_the_sum_are_bounded(self, threads, monkeypatch, tmp_path):
+        from blockfade import scenario
+        outstanding, counts = set(), []
+
+        class CountingPool(ThreadPoolExecutor):  # a chunk counts from its submit to its read
+            def submit(self, fn, *args):
+                future = super().submit(fn, *args)
+                outstanding.add(future)
+                counts.append(len(outstanding))
+                read = future.result
+
+                def result(*a, **kw):
+                    outstanding.discard(future)
+                    return read(*a, **kw)
+                future.result = result
+                return future
+        # 10 chunks of 4 realizations: at most 2 * workers - 1 run ahead of the ordered sum,
+        # and the artifact is that of one thread
+        config = self._config(realizations=40, geometry={"n_antennas": 8192},
+                              outputs=["power-profile"])
+        assert _chunk_size(config) == 4
+        one = run_scenario(config, out_dir=tmp_path / "one")
+        monkeypatch.setattr(scenario, "ThreadPoolExecutor", CountingPool)
+        many = run_scenario(config, out_dir=tmp_path / "many", threads=threads)
+        assert len(counts) == 10 and max(counts) == 2 * threads - 1 and not outstanding
+        assert (many.artifacts["power-profile"].tobytes()
+                == one.artifacts["power-profile"].tobytes())
+        assert many.manifest == one.manifest
 
     def test_workspace_cap_holds_under_an_address_space_limit(self, tmp_path):
         resource = pytest.importorskip("resource")
